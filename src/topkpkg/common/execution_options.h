@@ -14,7 +14,7 @@ class ThreadPool;
 enum class SimdMode {
   // Widest suite the running CPU supports: AVX2 when the binary carries the
   // -mavx2 dispatch object and the CPU has it, else the baseline-ISA
-  // vector suite (SSE2 on x86-64, NEON on aarch64), else scalar.
+  // vector suite (SSE2 on x86-64), else scalar.
   kAuto = 0,
   // Force the scalar reference kernels (the header-inlined originals the
   // vector suites are verified against).
@@ -54,22 +54,6 @@ struct ExecutionOptions {
   // Lane-kernel instruction set for SearchBatch (see SimdMode). Never
   // changes any result — every suite is bit-identical per lane.
   SimdMode simd = SimdMode::kAuto;
-
-  // Live-lane compaction threshold for SearchBatch. As lanes prune and
-  // retire, a node's live-lane fraction thins out; once it drops below this
-  // fraction of the batch width, the kernel re-packs the live lanes' weight
-  // columns into a dense contiguous block and runs the unit-stride SIMD
-  // kernels at the compacted width instead of the gather kernels.
-  // 0 = never compact (always gather), 1 = compact every partial mask.
-  // Values are clamped to [0, 1]. Never changes any result — a compacted
-  // lane accumulates in the same ascending-stripe order as a gathered one.
-  //
-  // Default 0: with the gather kernels vectorized over hardware gathered
-  // loads, re-packing has to amortize an O(num_features · live) copy per
-  // evaluation and measures strictly slower at every threshold on the
-  // shallow-φ search benches. The knob stays for deep-pad workloads where
-  // many folds reuse one packing.
-  double lane_compact_threshold = 0.0;
 };
 
 }  // namespace topkpkg

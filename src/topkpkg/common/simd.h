@@ -3,7 +3,7 @@
 
 // Portable f64 SIMD lanes for the batched search's aggregate kernels.
 //
-// Each backend lives in its own namespace (avx2 / sse2 / neon / scalar) and
+// Each backend lives in its own namespace (avx2 / sse2 / scalar) and
 // exposes the same tiny value type `F64x`: Load / Store / Broadcast / Zero
 // plus `+` and `*`. Backends are compile-time gated on the instruction sets
 // the *current translation unit* was built for, so a TU compiled with
@@ -23,12 +23,11 @@
 // semantics, NaN cases included:
 //
 //   CmpLE(a, b)   all-ones where a <= b, else zero; any NaN compares false
-//                 (quiet/ordered — x86 _CMP_LE_OQ, NEON vcle).
+//                 (quiet/ordered — x86 _CMP_LE_OQ).
 //   Max(a, b)     per lane (a < b) ? b : a — i.e. the *first* operand wins
 //                 on NaN or equality, matching std::max(a, b). On x86 this
 //                 is max_pd with the operands swapped (max_pd(b, a) returns
-//                 a when either compares unordered); NEON must NOT use
-//                 vmaxq (it propagates NaN) and blends through vclt instead.
+//                 a when either compares unordered).
 //   Or/AndNot     bitwise on the f64 lane patterns; AndNot(m, x) = ~m & x.
 //   Blend(m,x,y)  per lane m ? x : y. Masks are always all-ones/all-zero
 //                 here, so sign-bit blends (blendv_pd) and full bitwise
@@ -48,13 +47,11 @@
     defined(_M_X64)
 #include <immintrin.h>
 #endif
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#include <arm_neon.h>
-#endif
 
 namespace topkpkg::simd {
 
-// Always available; also the tail-lane fallback of every vector backend.
+// Always available — the only backend on targets other than x86-64 (e.g.
+// aarch64) — and the tail-lane fallback of every vector backend.
 namespace scalar {
 struct F64x {
   double v;
@@ -160,59 +157,11 @@ struct F64x {
 }  // namespace avx2
 #endif
 
-#if defined(__aarch64__) && defined(__ARM_NEON)
-namespace neon {
-struct F64x {
-  float64x2_t v;
-  static constexpr std::size_t kWidth = 2;
-  static constexpr const char* Name() { return "neon"; }
-  static F64x Load(const double* p) { return {vld1q_f64(p)}; }
-  static F64x Broadcast(double x) { return {vdupq_n_f64(x)}; }
-  static F64x Zero() { return {vdupq_n_f64(0.0)}; }
-  void Store(double* p) const { vst1q_f64(p, v); }
-  friend F64x operator+(F64x a, F64x b) { return {vaddq_f64(a.v, b.v)}; }
-  friend F64x operator*(F64x a, F64x b) { return {vmulq_f64(a.v, b.v)}; }
-  // vmaxq propagates NaN (wrong operand wins); blend through vclt instead.
-  static F64x Max(F64x a, F64x b) {
-    return {vbslq_f64(vcltq_f64(a.v, b.v), b.v, a.v)};
-  }
-  static F64x CmpLE(F64x a, F64x b) {
-    return {vreinterpretq_f64_u64(vcleq_f64(a.v, b.v))};
-  }
-  static F64x Or(F64x a, F64x b) {
-    return {vreinterpretq_f64_u64(vorrq_u64(vreinterpretq_u64_f64(a.v),
-                                            vreinterpretq_u64_f64(b.v)))};
-  }
-  static F64x AndNot(F64x m, F64x x) {
-    return {vreinterpretq_f64_u64(vbicq_u64(vreinterpretq_u64_f64(x.v),
-                                            vreinterpretq_u64_f64(m.v)))};
-  }
-  static F64x Blend(F64x m, F64x x, F64x y) {
-    return {vbslq_f64(vreinterpretq_u64_f64(m.v), x.v, y.v)};
-  }
-  static int MoveMask(F64x a) {
-    const uint64x2_t s = vshrq_n_u64(vreinterpretq_u64_f64(a.v), 63);
-    return static_cast<int>(vgetq_lane_u64(s, 0) |
-                            (vgetq_lane_u64(s, 1) << 1));
-  }
-  static F64x AllOnes() {
-    return {vreinterpretq_f64_u64(vdupq_n_u64(~std::uint64_t{0}))};
-  }
-  static F64x GatherIdx(const double* p, const std::uint32_t* idx) {
-    float64x2_t r = vld1q_dup_f64(p + idx[0]);
-    return {vld1q_lane_f64(p + idx[1], r, 1)};
-  }
-};
-}  // namespace neon
-#endif
-
 // The widest backend this TU's compile flags allow.
 #if defined(__AVX2__)
 namespace best = avx2;
 #elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
 namespace best = sse2;
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-namespace best = neon;
 #else
 namespace best = scalar;
 #endif

@@ -7,10 +7,10 @@
 // utility delegates here:
 //
 //   model    — AggregateState (Add / NormalizedFeature / Utility)
-//   topk     — the reference UpperExp and the search kernel's scratch-
-//              resident twins (UtilityOf / PeekPadUtility / PaddedBound /
-//              EmptyUpper), plus the NaivePackageEnumerator oracle via
-//              AggregateState
+//   topk     — the reference UpperExp and the Top-k-Pkg walk's one-lane
+//              policy (AggUtility / AggTauPaddedBound / AggEmptyTauBound
+//              over its scratch-resident slab), plus the
+//              NaivePackageEnumerator oracle via AggregateState
 //   sampling — PackageConstraintChecker's aggregate-threshold checks
 //   baseline — SolveHardConstraint*'s budget checks
 //
@@ -345,14 +345,6 @@ inline void AggDotBatchGather(const AggBatchPlan& plan, const double* raw_norm,
   }
 }
 
-// AggUtility for every lane at once: normalize the block once, dot per lane.
-// `raw_norm` is caller scratch of num_features doubles, `u` of lanes.
-inline void AggUtilityBatch(const AggBatchPlan& plan, const double* blk,
-                            std::size_t size, double* raw_norm, double* u) {
-  AggRawNormalized(plan, blk, size, raw_norm);
-  AggDotBatch(plan, raw_norm, nullptr, u);
-}
-
 // AggTauPaddedBound for every lane at once. The τ folds are lane-shared (τ
 // is a property of the walk, not of the lane); only the dot products and the
 // Lemma 3 greedy stop are per-lane: `stopped[j]` freezes lane j's bound the
@@ -519,7 +511,7 @@ struct AggBatchKernels {
   EmptyTauBoundBatchFn empty_tau_bound_batch = nullptr;
   DotBatchGatherFn dot_batch_gather = nullptr;
   TauPaddedBoundBatchGatherFn tau_padded_bound_batch_gather = nullptr;
-  // "avx2", "sse2", "neon" or "scalar" — what the suite's dots run on.
+  // "avx2", "sse2" or "scalar" — what the suite's dots run on.
   const char* backend = "";
 };
 

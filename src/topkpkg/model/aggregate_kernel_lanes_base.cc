@@ -1,8 +1,7 @@
 // Baseline-ISA instantiation of the vectorized batched aggregate kernels:
 // compiled with the project's default flags, so the backend is whatever the
-// target guarantees everywhere (SSE2 on x86-64, NEON on aarch64, scalar
-// elsewhere). Selected by AggBatchKernelsFor when the CPU lacks AVX2 or the
-// AVX2 TU wasn't built.
+// target guarantees everywhere (SSE2 on x86-64, scalar elsewhere). Selected
+// by AggBatchKernelsFor when the CPU lacks AVX2 or the AVX2 TU wasn't built.
 
 #include <cstddef>
 #include <cstdint>

@@ -103,70 +103,48 @@ Result<std::vector<SampleTopList>> PackageRanker::ComputeSampleLists(
     m.dedup_hits->Increment(samples.size() - unique_samples.size());
   }
 
-  // The unit of sharded work: one scalar search per unique sample, or —
-  // batched, the default — one shared walk per chunk of signature-sorted
-  // unique samples. Search()/SearchBatch() are const over shared immutable
-  // state, so the only write per task is its own result slot(s); thread
-  // count and batching never change the output (SearchBatch is bit-identical
-  // per sample to Search).
+  // The unit of sharded work: one SearchBatch call per chunk of
+  // signature-sorted unique samples. Sorting keeps chunks homogeneous — a
+  // SearchBatch call walks once per distinct access signature it receives,
+  // so mixing signatures in one chunk forfeits the sharing. SearchBatch is
+  // const over shared immutable state, so the only writes per task are its
+  // own result slots; thread count and chunking never change the output
+  // (every lane is bit-identical to Search).
   std::vector<Result<topk::SearchResult>> searched(
       unique_samples.size(), Status::Internal("search not run"));
-  std::size_t num_tasks = unique_samples.size();
-  std::function<void(std::size_t)> run_task;
   const std::size_t width = std::max<std::size_t>(1, options.exec.batch_width);
-  std::vector<std::size_t> batch_order;
-  if (options.batched && unique_samples.size() > 1) {
-    // Sort the work-list by access signature so chunks are homogeneous: a
-    // SearchBatch call walks once per distinct signature it receives, so
-    // mixing signatures in one chunk forfeits the sharing. The signature
-    // mirrors SearchBatch's grouping rule exactly.
-    const model::Profile& profile = evaluator_->profile();
-    const std::size_t m = profile.num_features();
-    std::vector<std::string> sigs(unique_samples.size());
-    for (std::size_t u = 0; u < unique_samples.size(); ++u) {
-      std::string sig(m, '0');
-      const Vec& w = unique_samples[u]->w;
-      for (std::size_t f = 0; f < m; ++f) {
-        if (profile.op(f) == model::AggregateOp::kNull || w[f] == 0.0) {
-          continue;
-        }
-        sig[f] = w[f] > 0.0 ? '+' : (w[f] < 0.0 ? '-' : 'n');
-      }
-      sigs[u] = std::move(sig);
-    }
-    batch_order.resize(unique_samples.size());
-    for (std::size_t u = 0; u < batch_order.size(); ++u) batch_order[u] = u;
-    std::stable_sort(batch_order.begin(), batch_order.end(),
-                     [&](std::size_t a, std::size_t c) {
-                       return sigs[a] < sigs[c];
-                     });
-    num_tasks = (batch_order.size() + width - 1) / width;
-    run_task = [&, width](std::size_t c) {
-      const std::size_t begin = c * width;
-      const std::size_t end = std::min(begin + width, batch_order.size());
-      std::vector<const Vec*> ws;
-      ws.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        ws.push_back(&unique_samples[batch_order[i]]->w);
-      }
-      // options.exec also carries the SIMD-suite and lane-compaction knobs
-      // the batched kernels run under (never a result change, only speed).
-      auto batch = search_.SearchBatch(ws, list_size, options.limits, filter,
-                                       nullptr, options.exec);
-      for (std::size_t i = begin; i < end; ++i) {
-        if (batch.ok()) {
-          searched[batch_order[i]] = std::move((*batch)[i - begin]);
-        } else {
-          searched[batch_order[i]] = batch.status();
-        }
-      }
-    };
-  } else {
-    run_task = [&](std::size_t u) {
-      searched[u] = search_.Search(unique_samples[u]->w, list_size,
-                                   options.limits, filter);
-    };
+  std::vector<std::string> sigs(unique_samples.size());
+  for (std::size_t u = 0; u < unique_samples.size(); ++u) {
+    sigs[u] = topk::AccessSignature(evaluator_->profile(),
+                                    unique_samples[u]->w);
   }
+  std::vector<std::size_t> batch_order(unique_samples.size());
+  for (std::size_t u = 0; u < batch_order.size(); ++u) batch_order[u] = u;
+  std::stable_sort(batch_order.begin(), batch_order.end(),
+                   [&](std::size_t a, std::size_t c) {
+                     return sigs[a] < sigs[c];
+                   });
+  const std::size_t num_tasks = (batch_order.size() + width - 1) / width;
+  auto run_task = [&, width](std::size_t c) {
+    const std::size_t begin = c * width;
+    const std::size_t end = std::min(begin + width, batch_order.size());
+    std::vector<const Vec*> ws;
+    ws.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      ws.push_back(&unique_samples[batch_order[i]]->w);
+    }
+    // options.exec also carries the SIMD suite the batched kernels run
+    // under (never a result change, only speed).
+    auto batch = search_.SearchBatch(ws, list_size, options.limits, filter,
+                                     nullptr, options.exec);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (batch.ok()) {
+        searched[batch_order[i]] = std::move((*batch)[i - begin]);
+      } else {
+        searched[batch_order[i]] = batch.status();
+      }
+    }
+  };
   if (workers == nullptr) workers = options.exec.pool;
   if (options.exec.num_threads <= 1 || num_tasks <= 1) {
     for (std::size_t t = 0; t < num_tasks; ++t) run_task(t);

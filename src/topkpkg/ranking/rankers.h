@@ -38,14 +38,6 @@ struct RankingOptions {
   // the pre-sorted lists). exec.num_threads == 1 = serial; any value yields
   // identical lists.
   ExecutionOptions exec;
-  // Run the per-sample searches through TopKPkgSearch::SearchBatch: unique
-  // weight vectors are sorted by access signature, chunked into
-  // exec.batch_width lanes, and each chunk runs one shared branch-and-bound
-  // walk instead of per-sample scalar walks. Per-sample results are
-  // bit-identical either way (the batch kernel's contract, enforced by
-  // search_batch_property_test); false keeps the scalar path as the oracle
-  // and escape hatch.
-  bool batched = true;
 };
 
 // The unique-weight dedup outcome of one ComputeSampleLists call. MCMC pools
@@ -90,7 +82,10 @@ class PackageRanker {
   explicit PackageRanker(const model::PackageEvaluator* evaluator)
       : evaluator_(evaluator), search_(evaluator) {}
 
-  // Runs Top-k-Pkg once per unique sample with list length max(k, σ).
+  // Runs Top-k-Pkg once per unique sample with list length max(k, σ):
+  // unique weight vectors are sorted by access signature, chunked into
+  // options.exec.batch_width lanes, and each chunk goes through one
+  // TopKPkgSearch::SearchBatch call (bit-identical per sample to Search).
   // `workers`, when non-null, is a caller-owned pool the searches shard
   // onto (falling back to options.exec.pool, then to a spawn-per-call pool
   // when options.exec.num_threads > 1); thread count and pool ownership

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -61,19 +62,30 @@ struct SearchResult {
 // first, then lexicographically smaller item-id sequence.
 bool BetterThan(const ScoredPackage& a, const ScoredPackage& b);
 
-// Internal per-call kernel over a SearchScratch (defined in topk_pkg.cc);
-// named here only so SearchScratch can befriend it.
+// Internal per-call kernel and the two lane policies of the one Top-k-Pkg
+// walk (defined in topk_pkg.cc); named here only so SearchScratch can
+// befriend them.
 class SearchKernel;
+class OneLane;
+class ManyLanes;
 
-// Reusable working memory of one TopKPkgSearch::Search call. Everything the
-// steady-state inner loop touches lives here: the slab node arena (packages
-// encoded as parent-pointer chains, aggregates as flat [count,sum,min,max]
-// stripes), the ping-pong Q+ index buffers, the UpperExp pad accumulators,
-// and the generation-counter seen bitset. Capacities persist across calls —
-// even across calls against different search objects, evaluators, or
-// dimensions — so after warm-up a Search() performs zero heap allocations
-// per expansion. Not thread-safe: use one scratch per thread (Search()
-// defaults to a thread_local instance when none is passed).
+// A batched walk scores at most this many weight vectors ("lanes") per
+// shared frontier: per-node lane membership is one 64-bit mask word.
+// SearchBatch chunks wider pools internally.
+inline constexpr std::size_t kMaxBatchLanes = 64;
+
+// Reusable working memory of the Top-k-Pkg walk, shared by Search() and
+// SearchBatch(). Everything the steady-state inner loop touches lives here:
+// the slab node arena (packages encoded as parent-pointer chains, aggregates
+// as flat [count,sum,min,max] stripes), the ping-pong Q+ index buffers, the
+// UpperExp pad accumulators, the generation-counter seen bitset, and — for
+// walks of several lanes — per-node lane masks, column-major lane weights
+// and the lane-wide buffers the batched aggregate kernels write into.
+// Capacities persist across calls — even across calls against different
+// search objects, evaluators, dimensions or lane counts — so after warm-up a
+// walk performs zero heap allocations per expansion. Not thread-safe: use
+// one scratch per thread (both entry points default to one thread_local
+// instance when none is passed).
 class SearchScratch {
  public:
   SearchScratch() = default;
@@ -83,6 +95,9 @@ class SearchScratch {
  private:
   friend class TopKPkgSearch;
   friend class SearchKernel;
+  friend class OneLane;
+  friend class ManyLanes;
+  class Lease;
 
   // One arena node: the package is the item chain to the root, its
   // aggregates live in the parallel slab `agg_` at the same index. `refs`
@@ -133,13 +148,14 @@ class SearchScratch {
   std::vector<double> pad_;
 
   // Seen-items set cleared in O(1) by bumping generation_ instead of
-  // re-zeroing n bits per Search() call.
+  // re-zeroing n bits per walk.
   std::vector<std::uint32_t> seen_;
   std::uint32_t generation_ = 0;
 
-  // max_queue overflow selection + keep markers.
-  std::vector<std::pair<double, std::size_t>> bounds_;
-  std::vector<std::uint8_t> marks_;
+  // max_queue overflow: per over-budget lane its (bound, Q+ position)
+  // pairs, and per Q+ position the lanes that dropped the node.
+  std::vector<std::vector<std::pair<double, std::size_t>>> lane_bounds_;
+  std::vector<std::uint64_t> dropped_;
 
   // Item-id assembly buffer for materializing collected packages.
   std::vector<model::ItemId> items_;
@@ -152,34 +168,7 @@ class SearchScratch {
   // utilities happen to be FP-identical.
   std::vector<double> refold_;
 
-  // True while a Search() call is running on this scratch. A nested call
-  // that lands on a busy scratch (e.g. a PackageFilter callback invoking
-  // another Search with the default thread_local scratch) falls back to a
-  // private one instead of corrupting the outer call's live arena.
-  bool in_use_ = false;
-};
-
-// A batched walk scores at most this many weight vectors ("lanes") per
-// shared frontier: per-node lane membership is one 64-bit mask word.
-// SearchBatch chunks wider pools internally.
-inline constexpr std::size_t kMaxBatchLanes = 64;
-
-// Reusable working memory of one TopKPkgSearch::SearchBatch call. The shared
-// walk reuses the scalar SearchScratch wholesale (slab arena, per-call plan,
-// τ/cursors, seen set, ping-pong queue buffers); the members below add the
-// lane dimension: per-node active-lane masks, the column-major lane weights,
-// and the lane-wide evaluation buffers the batched aggregate kernels write
-// into. Same reuse and thread-safety contract as SearchScratch.
-class BatchScratch {
- public:
-  BatchScratch() = default;
-  BatchScratch(const BatchScratch&) = delete;
-  BatchScratch& operator=(const BatchScratch&) = delete;
-
- private:
-  friend class TopKPkgSearch;
-
-  SearchScratch s_;
+  // Lane dimension of a many-lane walk (W = the walk's lane count).
   std::vector<std::uint64_t> mask_;      // Per arena node: active-lane bits.
   std::vector<double> wcol_;             // Column-major lane weights, na × W.
   std::vector<double> raw_norm_;         // Shared normalized raws, na.
@@ -203,15 +192,6 @@ class BatchScratch {
   // subset are live at the same time.
   std::vector<std::uint32_t> lane_idx_;  // Node-mask lane list, W.
   std::vector<std::uint32_t> lane_idx2_; // Admission-subset lane list, W.
-  // Live-lane compaction staging (ExecutionOptions::lane_compact_threshold):
-  // sparse nodes re-pack their live lanes' wcol columns into this dense
-  // block and evaluate through the unit-stride SIMD kernels at the
-  // compacted width, scattering results back through the lane index list.
-  std::vector<double> cwcol_;            // Compacted lane weights, na × W.
-  std::vector<double> cu_;               // Compacted utilities, W.
-  std::vector<double> cbound_;           // Compacted bounds, W.
-  std::vector<std::uint8_t> cstop_;      // Compacted stop flags, W.
-  std::vector<double> cu0_;              // Compacted bound seeds, W.
   // Bit-sliced per-lane counters: plane p holds bit p of every lane's count,
   // so charging a node to all lanes of its mask is an amortized-O(1)
   // carry-save add instead of a pop-every-bit loop. The exact per-lane
@@ -229,8 +209,21 @@ class BatchScratch {
   // ever shrink, so a lane's seed is read only if it was evaluated at
   // creation.
   std::vector<double> base_u_;
+
+  // True while a walk is running on this scratch. A nested call that lands
+  // on a busy scratch (e.g. a PackageFilter callback invoking another
+  // Search or SearchBatch with the default thread_local scratch) falls back
+  // to a private one instead of corrupting the outer call's live arena.
   bool in_use_ = false;
 };
+
+// Access signature of weight vector `w` under `profile`: per feature '0'
+// (inactive — zero weight or null-profiled), '+', '-', or 'n' (NaN). Weight
+// vectors with equal signatures share the walk's item access order,
+// boundary vector τ, relax mask and set-monotonicity, so SearchBatch runs
+// one shared walk per signature; callers that chunk pools for SearchBatch
+// sort by it to keep chunks homogeneous. All '0' means no active feature.
+std::string AccessSignature(const model::Profile& profile, const Vec& w);
 
 // Algorithm 2 (Top-k-Pkg): top-k packages of size <= evaluator.phi() for a
 // fixed weight vector. Items are sorted per active feature by marginal
@@ -261,38 +254,54 @@ class TopKPkgSearch {
   // `scratch` is the call's working memory; pass one to pin reuse to a
   // caller-owned arena (e.g. one per worker thread, or in tests), or leave
   // it null to reuse a thread_local scratch automatically. The result is
-  // identical either way, and independent of any state a previous Search()
-  // left in the scratch.
+  // identical either way, and independent of any state a previous call left
+  // in the scratch.
+  //
+  // Search() is the one-lane instantiation of the walk: scalar aggregate
+  // arithmetic, one collector, plain counters.
   Result<SearchResult> Search(const Vec& weights, std::size_t k,
                               const SearchLimits& limits = {},
                               const PackageFilter* filter = nullptr,
                               SearchScratch* scratch = nullptr) const;
 
   // Batched Algorithm 2: the top-k searches of many weight vectors run as
-  // shared branch-and-bound walks. Weight vectors are grouped by access
-  // signature (per feature: inactive / positive / negative), because a
-  // group's members share the exact item access order, boundary vector τ,
-  // and relax mask; each group then runs ONE walk that expands every
-  // frontier node once and evaluates utilities and bounds for all its lanes
-  // through the batched aggregate kernels (model/aggregate_kernel.h). A node
-  // stays in the shared Q+ while any lane's bound admits it, and per-node
-  // lane masks keep each lane's view of the queue exactly the subsequence
-  // its scalar walk would hold — so results[i] is bit-identical to
-  // Search(*weights[i], ...): packages, utilities, tie order, truncation
-  // flags and all counters (search_batch_property_test enforces this).
-  // Groups wider than kMaxBatchLanes are chunked; entries must be non-null.
+  // shared branch-and-bound walks. Weight vectors are grouped by
+  // AccessSignature, because a group's members share the exact item access
+  // order, boundary vector τ, and relax mask; each group then runs ONE walk
+  // that expands every frontier node once and evaluates utilities and bounds
+  // for all its lanes through the batched aggregate kernels
+  // (model/aggregate_kernel.h). A node stays in the shared Q+ while any
+  // lane's bound admits it, and per-node lane masks keep each lane's view of
+  // the queue exactly the subsequence its one-lane walk would hold — so
+  // results[i] is bit-identical to Search(*weights[i], ...): packages,
+  // utilities, tie order, truncation flags and all counters
+  // (search_batch_property_test and search_golden_test enforce this). A
+  // group of one lane takes the one-lane walk; groups wider than
+  // kMaxBatchLanes are chunked; entries must be non-null.
   //
-  // `exec` selects only how the lane arithmetic runs — the SIMD kernel
-  // suite (ExecutionOptions::simd) and the live-lane compaction threshold
-  // (ExecutionOptions::lane_compact_threshold); its threading fields are
-  // ignored here. Every setting is bit-identical per lane.
+  // `exec` selects only the SIMD kernel suite the many-lane walks run on
+  // (ExecutionOptions::simd); its other fields are ignored here. Every
+  // suite is bit-identical per lane.
   Result<std::vector<SearchResult>> SearchBatch(
       const std::vector<const Vec*>& weights, std::size_t k,
       const SearchLimits& limits = {}, const PackageFilter* filter = nullptr,
-      BatchScratch* scratch = nullptr,
+      SearchScratch* scratch = nullptr,
       const ExecutionOptions& exec = {}) const;
 
  private:
+  // The one Top-k-Pkg branch-and-bound walk over the signature group whose
+  // representative weight vector is `w0`: the per-call plan, τ, cursors and
+  // seen set, the item loop, singleton expansion, the Q+ sweep, per-lane
+  // max_queue overflow, termination and lane exits. `Lanes` (OneLane or
+  // ManyLanes, built from `lane_args`) owns the per-lane arithmetic and
+  // state — utilities, bounds, collectors, counters, node lane masks.
+  // `batched` selects the metrics the walk is recorded under (a SearchBatch
+  // group walk, or a Search() call).
+  template <class Lanes, class... LaneArgs>
+  void Walk(SearchScratch& s, const Vec& w0, const SearchLimits& limits,
+            const PackageFilter* filter, bool batched,
+            LaneArgs&&... lane_args) const;
+
   const model::PackageEvaluator* evaluator_;
   // Per feature: item ids ascending by "effective" value (nulls folded per
   // aggregate semantics) plus the parallel value array.
@@ -313,8 +322,8 @@ class TopKPkgSearch {
 // `tau_row`; for set-monotone U all slots are filled, otherwise padding
 // stops at the first non-positive marginal gain (Lemma 3 makes the greedy
 // stop correct). This is the public reference entry point over a full
-// AggregateState; it and the search kernel's scratch-resident twin both
-// delegate to the one implementation in model/aggregate_kernel.h
+// AggregateState; it and the walk's scratch-resident bounds (one-lane and
+// batched) delegate to the one implementation in model/aggregate_kernel.h
 // (AggTauPaddedBound), so their arithmetic cannot drift.
 //
 // `nullable_columns`, when provided (per-feature: 1 iff the column may hold

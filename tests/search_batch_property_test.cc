@@ -1,17 +1,19 @@
 // Property tests for TopKPkgSearch::SearchBatch: one shared branch-and-bound
-// walk scoring a whole pool of weight vectors must be bit-identical *per
-// sample* to the scalar Search — packages, utilities, tie order, truncation
-// flag, and every work counter (items_accessed, packages_generated,
-// expansions) — across profiles × signs × nulls × filters × truncating
-// limits × batch widths, including widths above kMaxBatchLanes (internal
-// chunking) and mixed-signature pools (internal grouping). A BatchScratch
-// reused across heterogeneous calls must leak no state, and the ranker-level
-// batched path must reproduce the scalar ranking exactly.
+// walk scoring a whole pool of weight vectors (the many-lane walk) must be
+// bit-identical *per sample* to Search (the one-lane walk) — packages,
+// utilities, tie order, truncation flag, and every work counter
+// (items_accessed, packages_generated, expansions) — across profiles ×
+// signs × nulls × filters × truncating limits × batch widths, including
+// widths above kMaxBatchLanes (internal chunking) and mixed-signature pools
+// (internal grouping). A SearchScratch reused across heterogeneous batched
+// calls must leak no state, and the ranker's batched ComputeSampleLists
+// must reproduce a ranking aggregated from per-sample Search results.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -230,25 +232,22 @@ TEST(BatchHeterogeneousPoolTest, WidthAboveMaxLanesIsChunked) {
   ExpectBatchMatchesScalar(search, pool, 3, {}, nullptr, "chunked");
 }
 
-// ---- SIMD suite × lane-compaction sweep ----------------------------------
+// ---- SIMD suite sweep ------------------------------------------------------
 //
-// ExecutionOptions::simd and ::lane_compact_threshold claim to never change
-// any result. Sweep {auto-dispatched vector suite, forced scalar reference}
-// × {never compact, compact below half occupancy, compact every partial
-// mask} and require every combination to stay per-lane bit-identical to the
-// scalar Search — packages, utilities, truncation, and all work counters.
-// Widths: 64 fills a whole mask word (full-mask fast paths + vector
-// bodies), 7 and 37 keep partial masks and vector tails in play, and the
-// tiny_access/tiny_queue limits retire lanes early so compaction and the
-// gather kernels both see thinned masks.
+// ExecutionOptions::simd claims to never change any result. Sweep {auto-
+// dispatched vector suite, forced scalar reference} and require both to stay
+// per-lane bit-identical to Search — packages, utilities, truncation, and
+// all work counters. Widths: 64 fills a whole mask word (full-mask fast
+// paths + vector bodies), 7 and 37 keep partial masks and vector tails in
+// play, and the tiny_access/tiny_queue limits retire lanes early so the
+// gather kernels see thinned masks.
 class SimdCompactionSweep
-    : public ::testing::TestWithParam<std::tuple<int, double, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(SimdCompactionSweep, EveryExecCombinationMatchesScalarSearch) {
-  auto [simd_raw, threshold, width] = GetParam();
+  auto [simd_raw, width] = GetParam();
   ExecutionOptions exec;
   exec.simd = static_cast<SimdMode>(simd_raw);
-  exec.lane_compact_threshold = threshold;
 
   Rng rng(4242 + width);
   auto w = MakeWorkload(RandomTable(12, 3, 0.2, rng), "sum,avg,min", 3);
@@ -266,9 +265,7 @@ TEST_P(SimdCompactionSweep, EveryExecCombinationMatchesScalarSearch) {
   };
 
   const std::string exec_label =
-      std::string(exec.simd == SimdMode::kScalar ? "simd=scalar" :
-                                                   "simd=auto") +
-      " thr=" + std::to_string(threshold);
+      exec.simd == SimdMode::kScalar ? "simd=scalar" : "simd=auto";
   for (const auto& [limit_name, limits] : limit_set) {
     std::vector<Vec> pool =
         SignCoherentPool(3, static_cast<std::size_t>(width), rng);
@@ -280,11 +277,10 @@ TEST_P(SimdCompactionSweep, EveryExecCombinationMatchesScalarSearch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SuitesTimesThresholds, SimdCompactionSweep,
+    SuitesTimesWidths, SimdCompactionSweep,
     ::testing::Combine(
         ::testing::Values(static_cast<int>(SimdMode::kAuto),
                           static_cast<int>(SimdMode::kScalar)),
-        ::testing::Values(0.0, 0.5, 1.0),
         ::testing::Values(7, 37, 64)));
 
 // The sweep above proves every suite matches Search(); this pins the
@@ -301,10 +297,9 @@ TEST(SimdCompactionSweepTest, AutoAndForcedScalarAgreeLaneForLane) {
   std::vector<const Vec*> ptrs;
   for (const Vec& v : pool) ptrs.push_back(&v);
 
-  ExecutionOptions auto_exec;   // simd=kAuto, thr=0 (defaults).
+  ExecutionOptions auto_exec;  // simd=kAuto (the default).
   ExecutionOptions scalar_exec;
   scalar_exec.simd = SimdMode::kScalar;
-  scalar_exec.lane_compact_threshold = 1.0;  // Maximally different path.
 
   auto a = search.SearchBatch(ptrs, 3, {}, nullptr, nullptr, auto_exec);
   auto s = search.SearchBatch(ptrs, 3, {}, nullptr, nullptr, scalar_exec);
@@ -316,9 +311,9 @@ TEST(SimdCompactionSweepTest, AutoAndForcedScalarAgreeLaneForLane) {
   }
 }
 
-// ---- BatchScratch reuse ---------------------------------------------------
+// ---- Batched scratch reuse -----------------------------------------------
 
-// One explicit BatchScratch serves interleaved calls over two evaluators of
+// One explicit SearchScratch serves interleaved calls over two evaluators of
 // different dimensionality, width, k, and limits; every call must match the
 // same call against a fresh scratch.
 TEST(BatchScratchReuseTest, HeterogeneousCallsLeakNoState) {
@@ -349,7 +344,7 @@ TEST(BatchScratchReuseTest, HeterogeneousCallsLeakNoState) {
   };
 
   Rng rng(616);
-  BatchScratch shared;
+  SearchScratch shared;
   for (int round = 0; round < 3; ++round) {
     for (const Call& call : calls) {
       std::vector<Vec> pool;
@@ -360,7 +355,7 @@ TEST(BatchScratchReuseTest, HeterogeneousCallsLeakNoState) {
       for (const Vec& v : pool) ptrs.push_back(&v);
       auto reused = call.search->SearchBatch(ptrs, call.k, *call.limits,
                                              nullptr, &shared);
-      BatchScratch fresh;
+      SearchScratch fresh;
       auto clean = call.search->SearchBatch(ptrs, call.k, *call.limits,
                                             nullptr, &fresh);
       ASSERT_TRUE(reused.ok()) << reused.status();
@@ -378,13 +373,15 @@ TEST(BatchScratchReuseTest, HeterogeneousCallsLeakNoState) {
 // ---- Ranker-level equivalence ---------------------------------------------
 
 // The batched ComputeSampleLists path (signature-sorted chunks through
-// SearchBatch) must produce exactly the scalar path's ranking — per-sample
-// lists are bit-identical, so aggregation is too — for every semantics and
-// for duplicate-heavy pools (the MCMC shape the unique-weight memo serves).
+// SearchBatch) must produce exactly the ranking aggregated from per-sample
+// Search() lists — per-sample lists are bit-identical, so aggregation is
+// too — for every semantics and for duplicate-heavy pools (the MCMC shape
+// the unique-weight memo serves).
 TEST(RankerBatchedEquivalenceTest, BatchedRankingMatchesScalarExactly) {
   Rng rng(1234);
   auto w = MakeWorkload(RandomTable(14, 3, 0.2, rng), "sum,avg,min", 3);
   ranking::PackageRanker ranker(w.evaluator.get());
+  TopKPkgSearch search(w.evaluator.get());
 
   std::vector<sampling::WeightedSample> samples;
   for (int i = 0; i < 24; ++i) {
@@ -399,35 +396,50 @@ TEST(RankerBatchedEquivalenceTest, BatchedRankingMatchesScalarExactly) {
       samples.push_back(std::move(dup));
     }
   }
+  // The memo keys on the weight vector's bit pattern.
+  std::set<std::string> distinct;
+  for (const auto& s : samples) {
+    distinct.emplace(reinterpret_cast<const char*>(s.w.data()),
+                     s.w.size() * sizeof(double));
+  }
 
   for (auto semantics : {ranking::Semantics::kExp, ranking::Semantics::kTkp,
                          ranking::Semantics::kMpo}) {
     for (std::size_t batch_width : {4u, 64u}) {
-      ranking::RankingOptions scalar_opts;
-      scalar_opts.k = 4;
-      scalar_opts.sigma = 3;
-      scalar_opts.batched = false;
-      ranking::RankingOptions batch_opts = scalar_opts;
-      batch_opts.batched = true;
-      batch_opts.exec.batch_width = batch_width;
+      ranking::RankingOptions opts;
+      opts.k = 4;
+      opts.sigma = 3;
+      opts.exec.batch_width = batch_width;
 
-      ranking::SearchDedupStats scalar_dedup, batch_dedup;
-      auto scalar =
-          ranker.Rank(samples, semantics, scalar_opts, nullptr, &scalar_dedup);
+      // Reference: one Search() per sample, aggregated directly.
+      std::vector<ranking::SampleTopList> reference;
+      for (const auto& s : samples) {
+        auto r = search.Search(s.w, std::max(opts.k, opts.sigma), opts.limits);
+        ASSERT_TRUE(r.ok()) << r.status();
+        ranking::SampleTopList list;
+        list.packages = std::move(r->packages);
+        list.w = s.w;
+        list.weight = s.weight;
+        list.truncated = r->truncated;
+        reference.push_back(std::move(list));
+      }
+      const ranking::RankingResult scalar =
+          ranker.Aggregate(reference, semantics, opts);
+
+      ranking::SearchDedupStats batch_dedup;
       auto batched =
-          ranker.Rank(samples, semantics, batch_opts, nullptr, &batch_dedup);
-      ASSERT_TRUE(scalar.ok()) << scalar.status();
+          ranker.Rank(samples, semantics, opts, nullptr, &batch_dedup);
       ASSERT_TRUE(batched.ok()) << batched.status();
 
-      EXPECT_EQ(scalar_dedup.unique_searches, batch_dedup.unique_searches);
+      EXPECT_EQ(batch_dedup.unique_searches, distinct.size());
       EXPECT_GT(batch_dedup.dedup_hits, 0u);  // The dup lanes above.
-      EXPECT_EQ(batched->any_truncated, scalar->any_truncated);
-      ASSERT_EQ(batched->packages.size(), scalar->packages.size())
+      EXPECT_EQ(batched->any_truncated, scalar.any_truncated);
+      ASSERT_EQ(batched->packages.size(), scalar.packages.size())
           << ranking::SemanticsName(semantics);
-      for (std::size_t i = 0; i < scalar->packages.size(); ++i) {
-        EXPECT_EQ(batched->packages[i].package, scalar->packages[i].package)
+      for (std::size_t i = 0; i < scalar.packages.size(); ++i) {
+        EXPECT_EQ(batched->packages[i].package, scalar.packages[i].package)
             << ranking::SemanticsName(semantics) << " rank=" << i;
-        EXPECT_EQ(batched->packages[i].score, scalar->packages[i].score)
+        EXPECT_EQ(batched->packages[i].score, scalar.packages[i].score)
             << ranking::SemanticsName(semantics) << " rank=" << i;
       }
     }

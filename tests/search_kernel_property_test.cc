@@ -412,37 +412,89 @@ TEST(SearchScratchReuseTest, FilterWithReusedScratch) {
   }
 }
 
-// A PackageFilter that itself runs a Search() with the default scratch must
-// not corrupt the outer call's live arena: the nested call detects the busy
-// thread_local scratch and falls back to a private one.
+// A PackageFilter that itself searches with the default scratch must not
+// corrupt the outer call's live arena: Search() and SearchBatch() share one
+// scratch type and one thread_local, so the nested call detects the busy
+// scratch and falls back to a private one. Every nesting of the two entry
+// points must equal the same outer call on a fresh scratch.
 TEST(SearchScratchReuseTest, ReentrantSearchThroughFilterIsSafe) {
   auto w = MakeWorkload(
       std::move(data::GenerateUniform(15, 2, 95)).value(), "sum,avg", 3);
   TopKPkgSearch search(w.evaluator.get());
+  // Two same-signature inner vectors, so a nested SearchBatch runs a
+  // many-lane walk.
   const Vec inner_w = {0.3, 0.4};
-  // Keep packages whose items all appear in the nested search's top list —
-  // contrived, but it exercises a full Search inside the expansion loop.
-  TopKPkgSearch::PackageFilter nested = [&](const Package& p) {
-    auto inner = search.Search(inner_w, 6);
-    if (!inner.ok()) return false;
-    for (model::ItemId id : p.items()) {
-      bool found = false;
-      for (const auto& sp : inner->packages) {
-        if (sp.package.Contains(id)) found = true;
+  const Vec inner_w2 = {0.6, 0.2};
+  enum class Entry { kSearch, kSearchBatch };
+  // Keep packages whose items all appear in the nested search's top lists —
+  // contrived, but it exercises a full walk inside the expansion loop.
+  auto nested_filter = [&](Entry inner) -> TopKPkgSearch::PackageFilter {
+    return [&, inner](const Package& p) {
+      std::vector<SearchResult> tops;
+      if (inner == Entry::kSearch) {
+        auto r = search.Search(inner_w, 6);
+        if (!r.ok()) return false;
+        tops.push_back(std::move(*r));
+      } else {
+        auto r = search.SearchBatch({&inner_w, &inner_w2}, 6);
+        if (!r.ok()) return false;
+        tops = std::move(*r);
       }
-      if (!found) return false;
+      for (model::ItemId id : p.items()) {
+        bool found = false;
+        for (const SearchResult& top : tops) {
+          for (const auto& sp : top.packages) {
+            if (sp.package.Contains(id)) found = true;
+          }
+        }
+        if (!found) return false;
+      }
+      return true;
+    };
+  };
+  // Runs the outer call on `scratch` (null = the thread_local default).
+  auto run = [&](Entry outer, const std::vector<Vec>& pool,
+                 const TopKPkgSearch::PackageFilter& filter,
+                 SearchScratch* scratch) {
+    std::vector<SearchResult> out;
+    if (outer == Entry::kSearch) {
+      auto r = search.Search(pool[0], 3, {}, &filter, scratch);
+      EXPECT_TRUE(r.ok()) << r.status();
+      if (r.ok()) out.push_back(std::move(*r));
+    } else {
+      std::vector<const Vec*> ptrs;
+      for (const Vec& v : pool) ptrs.push_back(&v);
+      auto r = search.SearchBatch(ptrs, 3, {}, &filter, scratch);
+      EXPECT_TRUE(r.ok()) << r.status();
+      if (r.ok()) out = std::move(*r);
     }
-    return true;
+    return out;
+  };
+
+  const std::pair<Entry, Entry> nestings[] = {
+      {Entry::kSearch, Entry::kSearch},
+      {Entry::kSearchBatch, Entry::kSearch},
+      {Entry::kSearch, Entry::kSearchBatch},
+      {Entry::kSearchBatch, Entry::kSearchBatch},
   };
   Rng rng(909);
-  for (int trial = 0; trial < 3; ++trial) {
-    const Vec weights = RandomWeights(2, rng);
-    auto reentrant = search.Search(weights, 3, {}, &nested);
-    SearchScratch outer_fresh;
-    auto isolated = search.Search(weights, 3, {}, &nested, &outer_fresh);
-    ASSERT_TRUE(reentrant.ok());
-    ASSERT_TRUE(isolated.ok());
-    ExpectSameResult(*reentrant, *isolated);
+  for (const auto& [outer, inner] : nestings) {
+    const TopKPkgSearch::PackageFilter filter = nested_filter(inner);
+    for (int trial = 0; trial < 3; ++trial) {
+      const Vec weights = RandomWeights(2, rng);
+      Vec scaled = weights;
+      for (double& v : scaled) v *= 0.5;  // Same signature: shared walk.
+      const std::vector<Vec> pool = {weights, scaled, RandomWeights(2, rng)};
+      const std::vector<SearchResult> reentrant =
+          run(outer, pool, filter, nullptr);
+      SearchScratch outer_fresh;
+      const std::vector<SearchResult> isolated =
+          run(outer, pool, filter, &outer_fresh);
+      ASSERT_EQ(reentrant.size(), isolated.size());
+      for (std::size_t j = 0; j < reentrant.size(); ++j) {
+        ExpectSameResult(reentrant[j], isolated[j]);
+      }
+    }
   }
 }
 

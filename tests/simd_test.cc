@@ -10,7 +10,7 @@
 //      specifies (Max's first-operand-wins rule, CmpLE's quiet-ordered
 //      NaN→false, sign-bit MoveMask, GatherIdx as pure loads).
 //   2. Kernel suites — the runtime-dispatched suites (kAuto may be AVX2,
-//      SSE2, NEON or scalar depending on machine; kScalar is the header
+//      SSE2 or scalar depending on machine; kScalar is the header
 //      reference) must reproduce the header-inlined reference kernels
 //      bit-for-bit: dense dot + bound, the gather twins over sparse lane
 //      sets, tail widths that don't fill a vector register, widths past the
@@ -190,7 +190,7 @@ TEST(SimdLaneOpsTest, ScalarBackendIsSelfConsistent) {
 }
 
 TEST(SimdLaneOpsTest, BestBaselineBackendMatchesScalar) {
-  // On x86-64 this is sse2, on aarch64 neon, elsewhere scalar again. The
+  // On x86-64 this is sse2, elsewhere scalar again. The
   // AVX2 backend is exercised through the kernel-suite tests below (this TU
   // is not compiled with -mavx2, so it cannot instantiate avx2::F64x).
   CheckLaneOpsAgainstScalar<simd::best::F64x>();
@@ -397,8 +397,8 @@ TEST(AggBatchSuiteTest, ScalarSuiteIsTheReference) {
 }
 
 TEST(AggBatchSuiteTest, AutoSuiteMatchesReferenceBitForBit) {
-  // Whatever kAuto dispatched to on this machine — avx2, sse2, neon, or
-  // scalar — it must be bit-identical to the reference kernels.
+  // Whatever kAuto dispatched to on this machine — avx2, sse2 or scalar —
+  // it must be bit-identical to the reference kernels.
   const AggBatchKernels& kern = AggBatchKernelsFor(SimdMode::kAuto);
   SCOPED_TRACE(std::string("auto backend: ") + kern.backend);
   CheckSuiteAgainstReference(kern, std::string("auto/") + kern.backend);
