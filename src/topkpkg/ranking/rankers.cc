@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <utility>
