@@ -52,13 +52,18 @@ int Run() {
       opts.ranking.limits.max_queue = 500;
       opts.ranking.limits.max_items_accessed = 600;
       opts.num_samples = Scaled(100);
-      recsys::PackageRecommender rec(wb->evaluator.get(), &prior, opts,
-                                     /*seed=*/1000 * m + u);
+      auto rec = recsys::PackageRecommender::Create(wb->evaluator.get(),
+                                                    &prior, opts,
+                                                    /*seed=*/1000 * m + u);
+      if (!rec.ok()) {
+        std::cerr << "user " << u << ": " << rec.status() << "\n";
+        continue;
+      }
       recsys::SimulatedUser user(hidden);
       // 0.6 overlap tolerates the jitter of budgeted searches over a finite
       // sample pool while still requiring a genuinely stable ranking.
-      auto clicks = rec.RunUntilConverged(user, kStableRounds, kMaxRounds,
-                                          /*min_overlap=*/0.6);
+      auto clicks = (*rec)->RunUntilConverged(user, kStableRounds, kMaxRounds,
+                                              /*min_overlap=*/0.6);
       if (!clicks.ok()) {
         std::cerr << "user " << u << ": " << clicks.status() << "\n";
         continue;
@@ -69,8 +74,9 @@ int Run() {
       max_clicks = std::max(max_clicks, *clicks);
 
       // Quality: true utility of the learned top package vs the optimum.
-      if (!rec.current_top_k().empty()) {
-        double got = wb->evaluator->Utility(rec.current_top_k()[0], hidden);
+      if (!(*rec)->current_top_k().empty()) {
+        double got =
+            wb->evaluator->Utility((*rec)->current_top_k()[0], hidden);
         auto best = oracle_search.Search(hidden, 1);
         if (best.ok() && !best->packages.empty() &&
             best->packages[0].utility > 0.0) {

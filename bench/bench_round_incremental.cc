@@ -7,8 +7,7 @@
 //       across feedback-rate regimes (0%, 10%, 50% of the pool replaced per
 //       round), with a bit-identical-result oracle check on every round.
 //   (2) The full recommender loop: per-round RoundLog reuse and phase-timing
-//       stats of the incremental engine, next to the from-scratch engine's
-//       wall-clock.
+//       stats of the round engine, and its mean wall-clock per round.
 
 #include <iostream>
 #include <vector>
@@ -170,14 +169,17 @@ int RunRecommenderLoop() {
   TablePrinter table({"round", "reused", "resampled", "skipped searches",
                       "dedup hits", "dedup rate", "maintain (ms)",
                       "sample (ms)", "rank (ms)"});
-  opts.incremental = true;
-  recsys::PackageRecommender incremental(wb->evaluator.get(), &prior, opts,
-                                         /*seed=*/21);
-  double incr_s = 0.0;
+  auto rec = recsys::PackageRecommender::Create(wb->evaluator.get(), &prior,
+                                                opts, /*seed=*/21);
+  if (!rec.ok()) {
+    std::cerr << rec.status() << "\n";
+    return 1;
+  }
+  double round_s = 0.0;
   for (std::size_t round = 0; round < kRounds; ++round) {
     Timer t;
-    auto log = incremental.RunRound(user);
-    incr_s += t.ElapsedSeconds();
+    auto log = (*rec)->RunRound(user);
+    round_s += t.ElapsedSeconds();
     if (!log.ok()) {
       std::cerr << log.status() << "\n";
       return 1;
@@ -201,26 +203,8 @@ int RunRecommenderLoop() {
                   TablePrinter::Fmt(1e3 * log->rank_seconds, 2)});
   }
   table.Print(std::cout);
-
-  opts.incremental = false;
-  recsys::PackageRecommender scratch(wb->evaluator.get(), &prior, opts,
-                                     /*seed=*/21);
-  double scratch_s = 0.0;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    Timer t;
-    auto log = scratch.RunRound(user);
-    scratch_s += t.ElapsedSeconds();
-    if (!log.ok()) {
-      std::cerr << log.status() << "\n";
-      return 1;
-    }
-  }
-  std::cout << "\nfrom-scratch engine: "
-            << TablePrinter::Fmt(1e3 * scratch_s / kRounds, 2)
-            << " ms/round, incremental engine: "
-            << TablePrinter::Fmt(1e3 * incr_s / kRounds, 2)
-            << " ms/round (speedup "
-            << TablePrinter::Fmt(scratch_s / incr_s, 2) << "x)\n";
+  std::cout << "\nround engine: "
+            << TablePrinter::Fmt(1e3 * round_s / kRounds, 2) << " ms/round\n";
   return 0;
 }
 

@@ -121,10 +121,15 @@ int RunCheckpointRestore() {
   prob::GaussianMixture prior = bench::MakePrior(3, 2, 8);
   recsys::RecommenderOptions opts;
   opts.num_samples = Scaled(200);
-  recsys::PackageRecommender rec(wb->evaluator.get(), &prior, opts, 11);
+  auto rec = recsys::PackageRecommender::Create(wb->evaluator.get(), &prior,
+                                                opts, 11);
+  if (!rec.ok()) {
+    std::cerr << rec.status() << "\n";
+    return 1;
+  }
   recsys::SimulatedUser user({0.8, 0.4, -0.2});
   for (int round = 0; round < 3; ++round) {
-    auto log = rec.RunRound(user);
+    auto log = (*rec)->RunRound(user);
     if (!log.ok()) {
       std::cerr << log.status() << "\n";
       return 1;
@@ -137,21 +142,26 @@ int RunCheckpointRestore() {
     return 1;
   }
   Timer ckpt_timer;
-  Status st = rec.Checkpoint(*store, 1);
+  Status st = (*rec)->Checkpoint(*store, 1);
   const double ckpt_ms = 1e3 * ckpt_timer.ElapsedSeconds();
   if (!st.ok()) {
     std::cerr << st << "\n";
     return 1;
   }
-  recsys::PackageRecommender restored(wb->evaluator.get(), &prior, opts, 0);
+  auto restored = recsys::PackageRecommender::Create(wb->evaluator.get(),
+                                                     &prior, opts, 0);
+  if (!restored.ok()) {
+    std::cerr << restored.status() << "\n";
+    return 1;
+  }
   Timer restore_timer;
-  st = restored.Restore(*store, 1);
+  st = (*restored)->Restore(*store, 1);
   const double restore_ms = 1e3 * restore_timer.ElapsedSeconds();
   if (!st.ok()) {
     std::cerr << st << "\n";
     return 1;
   }
-  auto resumed = restored.RunRound(user);
+  auto resumed = (*restored)->RunRound(user);
   if (!resumed.ok()) {
     std::cerr << resumed.status() << "\n";
     return 1;

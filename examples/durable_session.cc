@@ -35,7 +35,12 @@ int main(int argc, char** argv) {
 
   // Serve a few rounds, checkpointing after every one — the serving-fleet
   // shape: sessions survive process death at round granularity.
-  recsys::PackageRecommender session(&evaluator, &prior, opts, /*seed=*/11);
+  auto session = recsys::PackageRecommender::Create(&evaluator, &prior, opts,
+                                                    /*seed=*/11);
+  if (!session.ok()) {
+    std::cerr << session.status() << "\n";
+    return 1;
+  }
   {
     auto store = storage::SessionStore::Open(path);
     if (!store.ok()) {
@@ -43,12 +48,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (int round = 1; round <= 3; ++round) {
-      auto log = session.RunRound(user);
+      auto log = (*session)->RunRound(user);
       if (!log.ok()) {
         std::cerr << log.status() << "\n";
         return 1;
       }
-      if (Status st = session.Checkpoint(*store, /*session_id=*/1);
+      if (Status st = (*session)->Checkpoint(*store, /*session_id=*/1);
           !st.ok()) {
         std::cerr << st << "\n";
         return 1;
@@ -69,12 +74,17 @@ int main(int argc, char** argv) {
     std::cerr << store.status() << "\n";
     return 1;
   }
-  recsys::PackageRecommender restored(&evaluator, &prior, opts, /*seed=*/0);
-  if (Status st = restored.Restore(*store, 1); !st.ok()) {
+  auto restored = recsys::PackageRecommender::Create(&evaluator, &prior, opts,
+                                                     /*seed=*/0);
+  if (!restored.ok()) {
+    std::cerr << restored.status() << "\n";
+    return 1;
+  }
+  if (Status st = (*restored)->Restore(*store, 1); !st.ok()) {
     std::cerr << st << "\n";
     return 1;
   }
-  auto resumed = restored.RunRound(user);
+  auto resumed = (*restored)->RunRound(user);
   if (!resumed.ok()) {
     std::cerr << resumed.status() << "\n";
     return 1;
@@ -87,7 +97,7 @@ int main(int argc, char** argv) {
     std::cerr << "expected the restored session to resume incrementally\n";
     return 1;
   }
-  if (Status st = restored.Checkpoint(*store, 1); !st.ok()) {
+  if (Status st = (*restored)->Checkpoint(*store, 1); !st.ok()) {
     std::cerr << st << "\n";
     return 1;
   }

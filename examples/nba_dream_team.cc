@@ -44,11 +44,16 @@ int main() {
   opts.ranking.limits.max_expansions = 200000;
   opts.ranking.limits.max_queue = 2000;
   opts.ranking.limits.max_items_accessed = 1200;
-  recsys::PackageRecommender rec(&evaluator, &prior, opts, /*seed=*/99);
+  auto rec = recsys::PackageRecommender::Create(&evaluator, &prior, opts,
+                                                /*seed=*/99);
+  if (!rec.ok()) {
+    std::cerr << rec.status() << "\n";
+    return 1;
+  }
 
   std::cout << "Eliciting the scout's preferences";
-  auto clicks = rec.RunUntilConverged(scout, /*stable_rounds=*/2,
-                                      /*max_rounds=*/15);
+  auto clicks = (*rec)->RunUntilConverged(scout, /*stable_rounds=*/2,
+                                          /*max_rounds=*/15);
   if (!clicks.ok()) {
     std::cerr << "\n" << clicks.status() << "\n";
     return 1;
@@ -57,7 +62,7 @@ int main() {
 
   std::cout << "Recommended 5-player rosters (player ids + career lines):\n";
   int rank = 1;
-  for (const auto& roster : rec.current_top_k()) {
+  for (const auto& roster : (*rec)->current_top_k()) {
     std::cout << "Roster " << rank++ << " (true utility "
               << scout.TrueUtility(evaluator.FeatureVector(roster)) << "):\n";
     for (model::ItemId player : roster.items()) {

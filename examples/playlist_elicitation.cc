@@ -45,10 +45,15 @@ int main() {
   opts.package_filter = [](const model::Package& p) {
     return p.size() >= 3;
   };
-  recsys::PackageRecommender rec(&evaluator, &prior, opts, /*seed=*/13);
+  auto rec = recsys::PackageRecommender::Create(&evaluator, &prior, opts,
+                                                /*seed=*/13);
+  if (!rec.ok()) {
+    std::cerr << rec.status() << "\n";
+    return 1;
+  }
 
   for (int round = 1; round <= 8; ++round) {
-    auto log = rec.RunRound(listener);
+    auto log = (*rec)->RunRound(listener);
     if (!log.ok()) {
       std::cerr << log.status() << "\n";
       return 1;
@@ -71,13 +76,13 @@ int main() {
   }
 
   std::cout << "\nFinal recommended playlists:\n";
-  for (const auto& p : rec.current_top_k()) {
+  for (const auto& p : (*rec)->current_top_k()) {
     Vec v = evaluator.FeatureVector(p);
     std::cout << "  [" << p.Key() << "]  true utility "
               << listener.TrueUtility(v) << "\n";
   }
-  std::cout << "Feedback graph: " << rec.feedback().num_nodes()
-            << " packages, " << rec.feedback().num_edges()
+  std::cout << "Feedback graph: " << (*rec)->feedback().num_nodes()
+            << " packages, " << (*rec)->feedback().num_edges()
             << " preference edges\n";
   return 0;
 }

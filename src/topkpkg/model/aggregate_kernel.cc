@@ -19,49 +19,31 @@ extern const AggBatchKernels kKernels;
 
 namespace {
 
-// The header reference kernels, as a suite: the forced-scalar path every
-// test can pin the vector suites against.
-const AggBatchKernels kReferenceKernels = {
-    &AggDotBatch, &AggTauPaddedBoundBatch, &AggEmptyTauBoundBatch,
-    &AggDotBatchGather, &AggTauPaddedBoundBatchGather, "scalar"};
-
-const AggBatchKernels& PickAutoKernels() {
+const AggBatchKernels& PickKernels() {
 #if defined(TOPKPKG_HAVE_AVX2_TU) && (defined(__x86_64__) || defined(__i386__))
   if (__builtin_cpu_supports("avx2")) return lanes_avx2::kKernels;
 #endif
   return lanes_base::kKernels;
 }
 
-}  // namespace
-
-namespace {
-
-// Surfaces which suite a dispatch resolved to, as a one-hot gauge family:
-// topkpkg_simd_suite{backend="avx2"} 1. Each call site latches the write
-// behind its own magic-static, so dispatch stays a table lookup.
-bool ExportDispatchedSuite([[maybe_unused]] const AggBatchKernels& suite) {
-  if constexpr (obs::kMetricsEnabled) {
-    obs::MetricsRegistry::Global()
-        .GetGauge("topkpkg_simd_suite",
-                  "Dispatched SIMD kernel suite (1 = in use)",
-                  "backend=\"" + std::string(suite.backend) + "\"")
-        ->Set(1.0);
-  }
-  return true;
+// Surfaces which suite the dispatch resolved to, as a one-hot gauge family:
+// topkpkg_simd_suite{backend="avx2"} 1.
+const AggBatchKernels& ExportDispatchedSuite(const AggBatchKernels& suite) {
+  obs::MetricsRegistry::Global()
+      .GetGauge("topkpkg_simd_suite",
+                "Dispatched SIMD kernel suite (1 = in use)",
+                "backend=\"" + std::string(suite.backend) + "\"")
+      ->Set(1.0);
+  return suite;
 }
 
 }  // namespace
 
-const AggBatchKernels& AggBatchKernelsFor(SimdMode mode) {
-  if (mode == SimdMode::kScalar) {
-    [[maybe_unused]] static const bool exported =
-        ExportDispatchedSuite(kReferenceKernels);
-    return kReferenceKernels;
-  }
-  // Magic-static: the cpuid probe runs once, thread-safely.
-  static const AggBatchKernels& kAuto = PickAutoKernels();
-  [[maybe_unused]] static const bool exported = ExportDispatchedSuite(kAuto);
-  return kAuto;
+const AggBatchKernels& AggBatchKernelsFor() {
+  // Magic-static: the cpuid probe and the gauge write run once,
+  // thread-safely, so dispatch stays a table lookup.
+  static const AggBatchKernels& suite = ExportDispatchedSuite(PickKernels());
+  return suite;
 }
 
 double AggRawOverColumn(const ItemTable& table,

@@ -33,7 +33,6 @@
 #include <limits>
 #include <vector>
 
-#include "topkpkg/common/execution_options.h"
 #include "topkpkg/model/item_table.h"
 #include "topkpkg/model/profile.h"
 
@@ -480,8 +479,8 @@ inline void AggEmptyTauBoundBatch(const AggBatchPlan& plan, const double* tau,
 // x86-64 with a capable compiler — once more with -mavx2 under a distinct
 // namespace. A suite is a table of function pointers with the reference
 // signatures; every suite is bit-identical per lane to the reference (the
-// search's bit-identity contract with Search() rides on it, and
-// simd_test / search_batch_property_test sweep it).
+// search's bit-identity contract with Search() rides on it, and simd_test
+// checks every compiled suite against the reference).
 // ---------------------------------------------------------------------------
 
 struct AggBatchKernels {
@@ -515,11 +514,11 @@ struct AggBatchKernels {
   const char* backend = "";
 };
 
-// The suite for `mode`: kScalar returns the reference kernels above;
-// kAuto picks the widest suite the running CPU supports (cpuid-checked once,
-// AVX2 ≻ baseline vector ISA ≻ scalar). Thread-safe; the returned reference
-// is to a process-lifetime table.
-const AggBatchKernels& AggBatchKernelsFor(SimdMode mode);
+// The widest suite the running CPU supports (cpuid-checked once: AVX2 ≻
+// the baseline-ISA vector suite, which is scalar lanes where the target has
+// no vector ISA). Thread-safe; the returned reference is to a
+// process-lifetime table.
+const AggBatchKernels& AggBatchKernelsFor();
 
 // Raw aggregate of one table column over an explicit item set (the
 // constraint layers' entry point: aggregate-threshold and budget checks).

@@ -14,14 +14,6 @@
 // same atomics with relaxed loads: a scrape is a consistent-enough snapshot
 // (each individual value is atomic; cross-metric skew is inherent to
 // scraping a live process).
-//
-// Escape hatch. Building with -DTOPKPKG_NO_METRICS compiles the pure
-// telemetry *call sites* out of the library's hot paths: ScopedLatency
-// becomes an empty type and instrumentation blocks are written as
-// `if constexpr (obs::kMetricsEnabled) { ... }` so the compiler drops them
-// entirely. The classes themselves stay fully functional either way —
-// counters that back SessionManager::stats() (and the bench percentile
-// helper) must keep counting regardless of the telemetry build flavor.
 
 #include <atomic>
 #include <chrono>
@@ -36,12 +28,6 @@
 #include "topkpkg/common/status.h"
 
 namespace topkpkg::obs {
-
-#if defined(TOPKPKG_NO_METRICS)
-inline constexpr bool kMetricsEnabled = false;
-#else
-inline constexpr bool kMetricsEnabled = true;
-#endif
 
 // Monotone event count. Increment is one relaxed fetch_add.
 class Counter {
@@ -204,22 +190,13 @@ class MetricsRegistry {
 };
 
 // RAII latency probe: observes the enclosing scope's wall time (seconds)
-// into a histogram. This is the one instrumentation helper that reads the
-// clock, so under TOPKPKG_NO_METRICS it compiles to an empty object and the
-// two steady_clock calls vanish from the instrumented path.
-#if defined(TOPKPKG_NO_METRICS)
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histogram*) {}
-};
-#else
+// into `hist`, which must be non-null.
 class ScopedLatency {
  public:
   explicit ScopedLatency(Histogram* hist) : hist_(hist) {
     start_ = std::chrono::steady_clock::now();
   }
   ~ScopedLatency() {
-    if (hist_ == nullptr) return;
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - start_;
     hist_->Observe(dt.count());
@@ -231,7 +208,6 @@ class ScopedLatency {
   Histogram* hist_;
   std::chrono::steady_clock::time_point start_;
 };
-#endif
 
 }  // namespace topkpkg::obs
 

@@ -125,12 +125,10 @@ Result<RankingResult> IncrementalRanker::Rank(const sampling::SamplePool& pool,
     lists.push_back(&cache_.at(s.id));
   }
   if (stats != nullptr) *stats = local;
-  if constexpr (obs::kMetricsEnabled) {
-    const CacheMetrics& m = Metrics();
-    m.cache_hits->Increment(local.searches_skipped);
-    m.cache_evictions->Increment(local.evicted);
-    if (local.cache_invalidated) m.cache_invalidations->Increment();
-  }
+  const CacheMetrics& m = Metrics();
+  m.cache_hits->Increment(local.searches_skipped);
+  m.cache_evictions->Increment(local.evicted);
+  if (local.cache_invalidated) m.cache_invalidations->Increment();
   return base_.Aggregate(lists, semantics, options);
 }
 

@@ -95,23 +95,22 @@ Result<std::vector<SampleTopList>> PackageRanker::ComputeSampleLists(
     dedup->unique_searches = unique_samples.size();
     dedup->dedup_hits = samples.size() - unique_samples.size();
   }
-  if constexpr (obs::kMetricsEnabled) {
-    const RankingMetrics& m = Metrics();
-    m.sample_lists->Increment(samples.size());
-    m.unique_searches->Increment(unique_samples.size());
-    m.dedup_hits->Increment(samples.size() - unique_samples.size());
-  }
+  const RankingMetrics& m = Metrics();
+  m.sample_lists->Increment(samples.size());
+  m.unique_searches->Increment(unique_samples.size());
+  m.dedup_hits->Increment(samples.size() - unique_samples.size());
 
   // The unit of sharded work: one SearchBatch call per chunk of
-  // signature-sorted unique samples. Sorting keeps chunks homogeneous — a
-  // SearchBatch call walks once per distinct access signature it receives,
-  // so mixing signatures in one chunk forfeits the sharing. SearchBatch is
-  // const over shared immutable state, so the only writes per task are its
-  // own result slots; thread count and chunking never change the output
-  // (every lane is bit-identical to Search).
+  // kMaxBatchLanes signature-sorted unique samples, one shared walk's worth.
+  // Sorting keeps chunks homogeneous — a SearchBatch call walks once per
+  // distinct access signature it receives, so mixing signatures in one chunk
+  // forfeits the sharing. SearchBatch is const over shared immutable state,
+  // so the only writes per task are its own result slots; thread count and
+  // chunking never change the output (every lane is bit-identical to
+  // Search).
   std::vector<Result<topk::SearchResult>> searched(
       unique_samples.size(), Status::Internal("search not run"));
-  const std::size_t width = std::max<std::size_t>(1, options.exec.batch_width);
+  constexpr std::size_t width = topk::kMaxBatchLanes;
   std::vector<std::string> sigs(unique_samples.size());
   for (std::size_t u = 0; u < unique_samples.size(); ++u) {
     sigs[u] = topk::AccessSignature(evaluator_->profile(),
@@ -124,7 +123,7 @@ Result<std::vector<SampleTopList>> PackageRanker::ComputeSampleLists(
                      return sigs[a] < sigs[c];
                    });
   const std::size_t num_tasks = (batch_order.size() + width - 1) / width;
-  auto run_task = [&, width](std::size_t c) {
+  auto run_task = [&](std::size_t c) {
     const std::size_t begin = c * width;
     const std::size_t end = std::min(begin + width, batch_order.size());
     std::vector<const Vec*> ws;
@@ -132,10 +131,7 @@ Result<std::vector<SampleTopList>> PackageRanker::ComputeSampleLists(
     for (std::size_t i = begin; i < end; ++i) {
       ws.push_back(&unique_samples[batch_order[i]]->w);
     }
-    // options.exec also carries the SIMD suite the batched kernels run
-    // under (never a result change, only speed).
-    auto batch = search_.SearchBatch(ws, list_size, options.limits, filter,
-                                     nullptr, options.exec);
+    auto batch = search_.SearchBatch(ws, list_size, options.limits, filter);
     for (std::size_t i = begin; i < end; ++i) {
       if (batch.ok()) {
         searched[batch_order[i]] = std::move((*batch)[i - begin]);

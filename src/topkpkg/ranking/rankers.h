@@ -84,7 +84,7 @@ class PackageRanker {
 
   // Runs Top-k-Pkg once per unique sample with list length max(k, σ):
   // unique weight vectors are sorted by access signature, chunked into
-  // options.exec.batch_width lanes, and each chunk goes through one
+  // topk::kMaxBatchLanes lanes, and each chunk goes through one
   // TopKPkgSearch::SearchBatch call (bit-identical per sample to Search).
   // `workers`, when non-null, is a caller-owned pool the searches shard
   // onto (falling back to options.exec.pool, then to a spawn-per-call pool

@@ -163,10 +163,11 @@ Result<std::unique_ptr<PackageRecommender>> PackageRecommender::Create(
       options.importance.grid_resolution == 0) {
     return bad("importance.grid_resolution", "must be at least 1");
   }
-  // History must cover at least the current round when retention is on —
-  // 0 stays the documented "disable" value, so nothing to check there.
-  return std::make_unique<PackageRecommender>(evaluator, prior,
-                                              std::move(options), seed);
+  if (options.sampler == SamplerKind::kMcmc && options.mcmc.thinning == 0) {
+    return bad("mcmc.thinning", "must be at least 1");
+  }
+  return std::unique_ptr<PackageRecommender>(
+      new PackageRecommender(evaluator, prior, std::move(options), seed));
 }
 
 ThreadPool* PackageRecommender::Workers() {
@@ -243,28 +244,6 @@ PackageRecommender::DrawSamplesWithFallback(
     if (used_fallback != nullptr) *used_fallback = drawn.ok();
   }
   return drawn;
-}
-
-Result<ranking::RankingResult> PackageRecommender::RankFromScratch(
-    const sampling::ConstraintChecker& checker,
-    const ranking::RankingOptions& ropts, RoundLog* log) {
-  obs::ScopedSpan sample_span("sample");
-  TOPKPKG_ASSIGN_OR_RETURN(
-      std::vector<sampling::WeightedSample> samples,
-      DrawSamplesWithFallback(checker, options_.num_samples,
-                              &log->sampling_stats));
-  log->sample_seconds = sample_span.Close();
-  log->samples_resampled = samples.size();
-
-  obs::ScopedSpan rank_span("rank");
-  ranking::PackageRanker ranker(evaluator_);
-  ranking::SearchDedupStats dedup;
-  Result<ranking::RankingResult> ranked =
-      ranker.Rank(samples, options_.semantics, ropts, Workers(), &dedup);
-  log->rank_seconds = rank_span.Close();
-  log->searches_deduped = dedup.dedup_hits;
-  log->searches_unique = dedup.unique_searches;
-  return ranked;
 }
 
 Result<ranking::RankingResult> PackageRecommender::RankIncremental(
@@ -365,10 +344,8 @@ Result<ranking::RankingResult> PackageRecommender::RankIncremental(
     // Violator rate is counted before the target-shedding extension below:
     // shed survivors are healthy samples evicted for capacity, not
     // constraint violations.
-    if constexpr (obs::kMetricsEnabled) {
-      Metrics().pool_scanned->Increment(pool_.size());
-      Metrics().pool_violators->Increment(violators.size());
-    }
+    Metrics().pool_scanned->Increment(pool_.size());
+    Metrics().pool_violators->Increment(violators.size());
     // Track a changed num_samples target: shed surplus survivors from the
     // pool's tail, or draw extra fresh samples below.
     std::size_t keep = pool_.size() - violators.size();
@@ -475,31 +452,25 @@ Result<RoundLog> PackageRecommender::RunRound(const SimulatedUser& user) {
   // into this round's reweighting.
   round_is_sampler_.reset();
 
-  // 1. Bring the sample pool in line with (prior, feedback) — incrementally
-  // (replace violators only) or from scratch — and rank packages under the
-  // configured semantics.
+  // 1. Bring the sample pool in line with (prior, feedback) — replace
+  // violators only, against the transitively reduced constraint set
+  // (Sec. 3.3 pruning) — and rank packages under the configured semantics.
   sampling::ConstraintChecker checker =
-      options_.prune_constraints
-          ? sampling::ConstraintChecker::FromReduced(feedback_)
-          : sampling::ConstraintChecker::FromAll(feedback_);
+      sampling::ConstraintChecker::FromReduced(feedback_);
   ranking::RankingOptions ropts = options_.ranking;
   ropts.k = std::max<std::size_t>(ropts.k, options_.num_recommended);
   ropts.package_filter = options_.package_filter;
   TOPKPKG_ASSIGN_OR_RETURN(ranking::RankingResult ranked,
-                           options_.incremental
-                               ? RankIncremental(checker, ropts, &log)
-                               : RankFromScratch(checker, ropts, &log));
-  if constexpr (obs::kMetricsEnabled) {
-    const RecsysMetrics& m = Metrics();
-    m.rounds->Increment();
-    m.phase_sample->Observe(log.sample_seconds);
-    // From-scratch (and first incremental) rounds have no maintain phase;
-    // a zero observation would only skew the distribution's low tail.
-    if (log.maintain_seconds > 0.0) {
-      m.phase_maintain->Observe(log.maintain_seconds);
-    }
-    m.phase_rank->Observe(log.rank_seconds);
+                           RankIncremental(checker, ropts, &log));
+  const RecsysMetrics& m = Metrics();
+  m.rounds->Increment();
+  m.phase_sample->Observe(log.sample_seconds);
+  // First rounds have no maintain phase; a zero observation would only skew
+  // the distribution's low tail.
+  if (log.maintain_seconds > 0.0) {
+    m.phase_maintain->Observe(log.maintain_seconds);
   }
+  m.phase_rank->Observe(log.rank_seconds);
 
   std::vector<model::Package> top_k;
   for (const auto& rp : ranked.packages) {
@@ -551,14 +522,11 @@ Result<RoundLog> PackageRecommender::RunRound(const SimulatedUser& user) {
                                          log.presented_vectors, keys);
   if (!st.ok() && st.code() != StatusCode::kFailedPrecondition) return st;
 
-  if (options_.max_round_history > 0) {
-    history_.push_back(log);
-    if (history_.size() > options_.max_round_history) {
-      history_.erase(history_.begin(),
-                     history_.begin() + static_cast<std::ptrdiff_t>(
-                                            history_.size() -
-                                            options_.max_round_history));
-    }
+  history_.push_back(log);
+  if (history_.size() > kMaxRoundHistory) {
+    history_.erase(history_.begin(),
+                   history_.end() -
+                       static_cast<std::ptrdiff_t>(kMaxRoundHistory));
   }
   return log;
 }
@@ -603,8 +571,10 @@ std::string PackageRecommender::ConfigFingerprint() const {
   f += ";k=" + std::to_string(options_.ranking.k);
   f += ";sigma=" + std::to_string(options_.ranking.sigma);
   f += ";psi=" + std::to_string(options_.sampler_base.noise.psi);
-  f += ";prune=" + std::to_string(options_.prune_constraints ? 1 : 0);
-  f += ";incremental=" + std::to_string(options_.incremental ? 1 : 0);
+  // Constraint pruning and the incremental engine were once options; they
+  // are always on now, and stay in the fingerprint so checkpoints written
+  // while they were configurable still restore.
+  f += ";prune=1;incremental=1";
   // Draw parallelism selects serial-stream vs sharded-stream sampling,
   // which is a semantic property of the session's RNG consumption — a host
   // on the other mode would silently diverge from the checkpointed

@@ -48,25 +48,8 @@ struct RecommenderOptions {
   sampling::SamplerOptions sampler_base;
   sampling::McmcSamplerOptions mcmc;
   sampling::ImportanceSamplerOptions importance;
-  // Use the transitively reduced constraint set (Sec. 3.3 pruning).
-  bool prune_constraints = true;
   // Optional Sec. 7 schema predicate applied to recommended packages.
   topk::TopKPkgSearch::PackageFilter package_filter;
-  // Round engine. true (default) = the incremental serving loop: the sample
-  // pool persists across rounds, each round scans it against the accumulated
-  // feedback, replaces only the violators with fresh posterior draws
-  // (Sec. 3.4 — survivors still follow the posterior), and re-searches only
-  // the replacements, serving the rest from the ranking layer's top-list
-  // cache. false = the classic from-scratch oracle: regenerate all
-  // num_samples samples and recompute every top list each round. Both paths
-  // draw from the same RNG stream but consume different amounts of it, so
-  // their sample pools (and hence recommendations) differ per round; the
-  // incremental path's correctness is instead asserted by ranking the same
-  // pool both incrementally and from scratch (see incremental_ranker_test).
-  bool incremental = true;
-  // RoundLog history the recommender retains — newest rounds win — and
-  // Checkpoint() persists alongside the session state. 0 disables retention.
-  std::size_t max_round_history = 64;
   // Recommender-level execution seam. exec.pool, when set, is the shared
   // caller-owned pool every phase borrows (the SessionManager injects its
   // one pool here so N sessions never spawn N pools); phases still honor
@@ -88,8 +71,7 @@ struct RoundLog {
   double top_k_overlap = 0.0;
   bool top_k_changed = true;
   sampling::SampleStats sampling_stats;
-  // Incremental-engine reuse accounting (from-scratch rounds report
-  // samples_resampled = pool size and zero reuse).
+  // Incremental-engine reuse accounting.
   std::size_t samples_reused = 0;     // Pool survivors kept this round.
   std::size_t samples_resampled = 0;  // Fresh posterior draws this round.
   std::size_t searches_skipped = 0;   // Top lists served from the cache.
@@ -113,28 +95,24 @@ double TopKOverlap(const std::vector<model::Package>& a,
 
 // The interactive package recommender (Sec. 2): maintains the Gaussian
 // mixture prior plus the elicited PreferenceSet, keeps a posterior sample
-// pool alive across rounds (replacing only feedback violators per round,
-// unless options.incremental is off), ranks packages under the configured
-// semantics, presents top + random packages, and folds the user's click back
-// into the preference DAG as "clicked ≻ every other presented package".
+// pool alive across rounds and replaces only its feedback violators each
+// round (Sec. 3.4), ranks packages under the configured semantics, presents
+// top + random packages, and folds the user's click back into the preference
+// DAG as "clicked ≻ every other presented package".
 class PackageRecommender {
  public:
-  // The supported construction path: validates `options` (and the evaluator
-  // / prior wiring) and returns InvalidArgument naming the offending field
+  // RoundLogs the recommender retains — newest rounds win — and Checkpoint()
+  // persists alongside the session state.
+  static constexpr std::size_t kMaxRoundHistory = 64;
+
+  // The one construction path: validates `options` (and the evaluator /
+  // prior wiring) and returns InvalidArgument naming the offending field
   // instead of asserting or misbehaving later. `evaluator` and `prior` must
   // outlive the recommender; so must `options.exec.pool` when set.
   static Result<std::unique_ptr<PackageRecommender>> Create(
       const model::PackageEvaluator* evaluator,
       const prob::GaussianMixture* prior, RecommenderOptions options,
       uint64_t seed);
-
-  // Deprecated: unvalidated construction, kept as a thin wrapper for one
-  // release. Invalid options surface later and less clearly (empty draws,
-  // degenerate rounds); new code should call Create() and handle the typed
-  // error.
-  PackageRecommender(const model::PackageEvaluator* evaluator,
-                     const prob::GaussianMixture* prior,
-                     RecommenderOptions options, uint64_t seed);
 
   // Executes one full round against a simulated user. On cyclic feedback the
   // conflicting click is skipped (the paper re-elicits in that case).
@@ -155,9 +133,9 @@ class PackageRecommender {
   const std::vector<model::Package>& current_top_k() const {
     return current_top_k_;
   }
-  // The persistent sample pool (empty until the first incremental round).
+  // The persistent sample pool (empty until the first round).
   const sampling::SamplePool& pool() const { return pool_; }
-  // Retained RoundLogs, oldest first (at most options.max_round_history).
+  // Retained RoundLogs, oldest first (at most kMaxRoundHistory).
   const std::vector<RoundLog>& round_history() const { return history_; }
 
   // --- durable sessions (storage/session_store.h) ------------------------
@@ -185,6 +163,10 @@ class PackageRecommender {
                  std::uint64_t session_id);
 
  private:
+  PackageRecommender(const model::PackageEvaluator* evaluator,
+                     const prob::GaussianMixture* prior,
+                     RecommenderOptions options, uint64_t seed);
+
   Result<std::vector<sampling::WeightedSample>> DrawSamples(
       const sampling::ConstraintChecker& checker, std::size_t n,
       sampling::SampleStats* stats);
@@ -196,9 +178,6 @@ class PackageRecommender {
       const sampling::ConstraintChecker& checker, std::size_t n,
       sampling::SampleStats* stats, bool* used_fallback = nullptr);
 
-  Result<ranking::RankingResult> RankFromScratch(
-      const sampling::ConstraintChecker& checker,
-      const ranking::RankingOptions& ropts, RoundLog* log);
   Result<ranking::RankingResult> RankIncremental(
       const sampling::ConstraintChecker& checker,
       const ranking::RankingOptions& ropts, RoundLog* log);

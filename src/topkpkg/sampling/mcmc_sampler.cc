@@ -15,6 +15,10 @@ McmcSampler::McmcSampler(const prob::GaussianMixture* prior,
 
 Result<std::vector<WeightedSample>> McmcSampler::Draw(
     std::size_t n, Rng& rng, SampleStats* stats) const {
+  if (options_.thinning == 0) {
+    return Status::InvalidArgument(
+        "McmcSampler: McmcSamplerOptions.thinning must be at least 1");
+  }
   internal::ScopedDrawFlush flush("MS", &stats);
   Timer timer;
   // Find a first valid state with plain rejection sampling (Sec. 5.1: "during

@@ -58,8 +58,7 @@ inline const SamplerCounters& CountersFor(const char* label) {
 // Scoped around a Draw() body. Redirects a null caller SampleStats at a
 // private fallback so the body always tallies somewhere, snapshots the
 // tally on entry, and flushes the scope's delta to the labeled counters on
-// exit. Under TOPKPKG_NO_METRICS the redirection still happens (the tally
-// is cheap arithmetic) but no registry counter is touched.
+// exit.
 class ScopedDrawFlush {
  public:
   ScopedDrawFlush(const char* label, SampleStats** stats)
@@ -68,17 +67,15 @@ class ScopedDrawFlush {
     before_ = **stats;
   }
   ~ScopedDrawFlush() {
-    if constexpr (obs::kMetricsEnabled) {
-      const SampleStats& now = **out_;
-      const SamplerCounters& c = CountersFor(label_);
-      c.draw_calls->Increment();
-      c.proposed->Increment(now.proposed - before_.proposed);
-      c.accepted->Increment(now.accepted - before_.accepted);
-      c.rejected_box->Increment(now.rejected_box - before_.rejected_box);
-      c.rejected_constraint->Increment(now.rejected_constraint -
-                                       before_.rejected_constraint);
-      c.rejected_mh->Increment(now.rejected_mh - before_.rejected_mh);
-    }
+    const SampleStats& now = **out_;
+    const SamplerCounters& c = CountersFor(label_);
+    c.draw_calls->Increment();
+    c.proposed->Increment(now.proposed - before_.proposed);
+    c.accepted->Increment(now.accepted - before_.accepted);
+    c.rejected_box->Increment(now.rejected_box - before_.rejected_box);
+    c.rejected_constraint->Increment(now.rejected_constraint -
+                                     before_.rejected_constraint);
+    c.rejected_mh->Increment(now.rejected_mh - before_.rejected_mh);
   }
   ScopedDrawFlush(const ScopedDrawFlush&) = delete;
   ScopedDrawFlush& operator=(const ScopedDrawFlush&) = delete;

@@ -255,10 +255,8 @@ Status SessionManager::Enqueue(SessionId id, SessionRequest req) {
     }
     if (st.ok()) {
       SessionState& s = *it->second;
-      if constexpr (obs::kMetricsEnabled) {
-        req.enqueued_at = std::chrono::steady_clock::now();
-        metrics_.queue_depth->Add(1.0);
-      }
+      req.enqueued_at = std::chrono::steady_clock::now();
+      metrics_.queue_depth->Add(1.0);
       if (tracer_ != nullptr) req.trace = tracer_->StartTrace();
       s.queue.push_back(std::move(req));
       if (!s.scheduled) {
@@ -331,9 +329,7 @@ Status SessionManager::EvictLocked(std::unique_lock<std::mutex>& lock,
   if (!victim.dirty) {
     victim.rec.reset();
     --hydrated_count_;
-    if constexpr (obs::kMetricsEnabled) {
-      metrics_.hydrated->Set(static_cast<double>(hydrated_count_));
-    }
+    metrics_.hydrated->Set(static_cast<double>(hydrated_count_));
     metrics_.evictions->Increment();
     metrics_.clean_drops->Increment();
     return Status::OK();
@@ -352,9 +348,7 @@ Status SessionManager::EvictLocked(std::unique_lock<std::mutex>& lock,
   victim.dirty = false;
   victim.rec.reset();
   --hydrated_count_;
-  if constexpr (obs::kMetricsEnabled) {
-    metrics_.hydrated->Set(static_cast<double>(hydrated_count_));
-  }
+  metrics_.hydrated->Set(static_cast<double>(hydrated_count_));
   metrics_.evictions->Increment();
   return Status::OK();
 }
@@ -393,9 +387,7 @@ Status SessionManager::EnsureHydrated(std::unique_lock<std::mutex>& lock,
     slot_cv_.wait(lock);
   }
   ++hydrated_count_;  // Reserve the slot before releasing the lock.
-  if constexpr (obs::kMetricsEnabled) {
-    metrics_.hydrated->Set(static_cast<double>(hydrated_count_));
-  }
+  metrics_.hydrated->Set(static_cast<double>(hydrated_count_));
   metrics_.hydrations->Increment();
   lock.unlock();
 
@@ -413,9 +405,7 @@ Status SessionManager::EnsureHydrated(std::unique_lock<std::mutex>& lock,
   lock.lock();
   if (!st.ok()) {
     --hydrated_count_;
-    if constexpr (obs::kMetricsEnabled) {
-      metrics_.hydrated->Set(static_cast<double>(hydrated_count_));
-    }
+    metrics_.hydrated->Set(static_cast<double>(hydrated_count_));
     slot_cv_.notify_all();
     return st;
   }
@@ -435,12 +425,10 @@ void SessionManager::DrainOne(SessionId id) {
   LruUnlink(s);  // Busy sessions are never eviction victims.
   SessionRequest req = std::move(s.queue.front());
   s.queue.pop_front();
-  if constexpr (obs::kMetricsEnabled) {
-    metrics_.queue_depth->Add(-1.0);
-    const std::chrono::duration<double> waited =
-        std::chrono::steady_clock::now() - req.enqueued_at;
-    metrics_.queue_wait->Observe(waited.count());
-  }
+  metrics_.queue_depth->Add(-1.0);
+  const std::chrono::duration<double> waited =
+      std::chrono::steady_clock::now() - req.enqueued_at;
+  metrics_.queue_wait->Observe(waited.count());
 
   Status pre;
   if (s.ended) {
@@ -507,9 +495,7 @@ void SessionManager::DrainOne(SessionId id) {
             s.dirty = false;
             s.rec.reset();
             --hydrated_count_;
-            if constexpr (obs::kMetricsEnabled) {
-              metrics_.hydrated->Set(static_cast<double>(hydrated_count_));
-            }
+            metrics_.hydrated->Set(static_cast<double>(hydrated_count_));
           }
           s.ended = true;
           metrics_.sessions->Add(-1.0);

@@ -286,10 +286,7 @@ class SessionManager {
   // Registry handles backing both the Prometheus export and the public
   // stats() accessor (the counters ARE the stats — there is no second
   // ledger to drift from). Labeled mgr="N" with a process-unique manager
-  // id so sequentially constructed managers never share series. The
-  // pure-telemetry members (gauges for depth/hydrated, latency histograms)
-  // are only touched under `if constexpr (obs::kMetricsEnabled)`; the
-  // stats-bearing counters always count, in every build flavor.
+  // id so sequentially constructed managers never share series.
   struct ServingMetrics {
     obs::Gauge* sessions = nullptr;
     obs::Gauge* hydrated = nullptr;

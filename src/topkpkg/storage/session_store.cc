@@ -85,25 +85,18 @@ StoreMetrics& Metrics() {
 // Group-commit occupancy: how many acknowledged puts one drain covers.
 // Call immediately before resetting puts_since_sync_.
 void ObserveWindowDrain(std::uint64_t puts_in_window) {
-  if constexpr (obs::kMetricsEnabled) {
-    if (puts_in_window > 0) {
-      Metrics().commit_window->Observe(
-          static_cast<double>(puts_in_window));
-    }
+  if (puts_in_window > 0) {
+    Metrics().commit_window->Observe(static_cast<double>(puts_in_window));
   }
 }
 
 // All of the store's fsyncs funnel through here so each one lands in the
 // fsync latency histogram and counter alongside the per-store stats_.
 Status TimedSync(RecordLogWriter& w) {
-  if constexpr (obs::kMetricsEnabled) {
-    obs::ScopedLatency lat(Metrics().fsync_latency);
-    Status st = w.Sync();
-    if (st.ok()) Metrics().fsyncs->Increment();
-    return st;
-  } else {
-    return w.Sync();
-  }
+  obs::ScopedLatency lat(Metrics().fsync_latency);
+  Status st = w.Sync();
+  if (st.ok()) Metrics().fsyncs->Increment();
+  return st;
 }
 
 }  // namespace
@@ -353,15 +346,12 @@ void SessionStore::RefreshDerivedStats() {
   }
   stats_.file_bytes = files;
   stats_.dead_bytes = payload - stats_.live_bytes;
-  if constexpr (obs::kMetricsEnabled) {
-    Metrics().segments->Set(static_cast<double>(stats_.segments));
-    Metrics().live_bytes->Set(static_cast<double>(stats_.live_bytes));
-    Metrics().dead_bytes->Set(static_cast<double>(stats_.dead_bytes));
-    const auto active = segments_.find(active_id_);
-    if (active != segments_.end()) {
-      Metrics().active_bytes->Set(
-          static_cast<double>(active->second.data_bytes));
-    }
+  Metrics().segments->Set(static_cast<double>(stats_.segments));
+  Metrics().live_bytes->Set(static_cast<double>(stats_.live_bytes));
+  Metrics().dead_bytes->Set(static_cast<double>(stats_.dead_bytes));
+  const auto active = segments_.find(active_id_);
+  if (active != segments_.end()) {
+    Metrics().active_bytes->Set(static_cast<double>(active->second.data_bytes));
   }
 }
 
@@ -424,9 +414,8 @@ Status SessionStore::CommitMutation(std::uint64_t session_id, RecordKind kind,
 
 Status SessionStore::Put(std::uint64_t session_id, RecordKind kind,
                          const std::string& payload) {
-  obs::ScopedLatency put_lat(obs::kMetricsEnabled ? Metrics().put_latency
-                                                  : nullptr);
-  if constexpr (obs::kMetricsEnabled) Metrics().puts->Increment();
+  obs::ScopedLatency put_lat(Metrics().put_latency);
+  Metrics().puts->Increment();
   TOPKPKG_RETURN_IF_ERROR(RequireWriter());
   if ((kind & kTombstoneBit) != 0) {
     return Status::InvalidArgument(
@@ -557,7 +546,7 @@ Status SessionStore::Roll() {
   ObserveWindowDrain(puts_since_sync_);
   puts_since_sync_ = 0;
   ++stats_.segment_rolls;
-  if constexpr (obs::kMetricsEnabled) Metrics().rolls->Increment();
+  Metrics().rolls->Increment();
   RefreshDerivedStats();
   return Status::OK();
 }
@@ -595,10 +584,8 @@ Status SessionStore::CompactCold(bool automatic) {
   // Sum the cold inputs up front: once the merge commits, reclaimed space
   // is their on-disk footprint minus the single merged output.
   std::uint64_t cold_bytes_before = 0;
-  if constexpr (obs::kMetricsEnabled) {
-    for (const std::uint64_t id : cold) {
-      cold_bytes_before += segments_[id].data_bytes;
-    }
+  for (const std::uint64_t id : cold) {
+    cold_bytes_before += segments_[id].data_bytes;
   }
   // The merge replaces the LOWEST cold id. That choice is what makes
   // dropping tombstones crash-safe: the rename atomically swaps out the
@@ -675,12 +662,10 @@ Status SessionStore::CompactCold(bool automatic) {
   (void)dir_synced;
   ++stats_.compactions;
   if (automatic) ++stats_.auto_compactions;
-  if constexpr (obs::kMetricsEnabled) {
-    Metrics().compactions->Increment();
-    if (cold_bytes_before > merged_size) {
-      Metrics().compact_bytes_reclaimed->Increment(cold_bytes_before -
-                                                   merged_size);
-    }
+  Metrics().compactions->Increment();
+  if (cold_bytes_before > merged_size) {
+    Metrics().compact_bytes_reclaimed->Increment(cold_bytes_before -
+                                                 merged_size);
   }
   RefreshDerivedStats();
   return Status::OK();
@@ -695,8 +680,7 @@ Status SessionStore::Compact() {
 }
 
 Status SessionStore::Flush() {
-  obs::ScopedLatency flush_lat(obs::kMetricsEnabled ? Metrics().flush_latency
-                                                    : nullptr);
+  obs::ScopedLatency flush_lat(Metrics().flush_latency);
   TOPKPKG_RETURN_IF_ERROR(RequireWriter());
   if (opts_.fsync_policy == FsyncPolicy::kInterval && puts_since_sync_ > 0) {
     TOPKPKG_RETURN_IF_ERROR(TimedSync(*writer_));

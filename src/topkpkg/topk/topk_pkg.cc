@@ -431,22 +431,19 @@ struct WalkTally {
 
 // Flushes one walk's tally: `batch_lanes` == 0 marks a Search() call,
 // otherwise the width of one SearchBatch group walk.
-void RecordWalk([[maybe_unused]] const WalkTally& t,
-                [[maybe_unused]] std::size_t batch_lanes) {
-  if constexpr (obs::kMetricsEnabled) {
-    auto& sm = SearchMetrics();
-    if (batch_lanes == 0) {
-      sm.searches->Increment();
-    } else {
-      sm.batch_walks->Increment();
-      sm.batch_lanes->Increment(batch_lanes);
-      sm.lane_occupancy->Observe(static_cast<double>(batch_lanes));
-    }
-    sm.expansions->Increment(t.expansions);
-    sm.packages->Increment(t.packages);
-    sm.pruned->Increment(t.pruned);
-    sm.truncations->Increment(t.truncated);
+void RecordWalk(const WalkTally& t, std::size_t batch_lanes) {
+  auto& sm = SearchMetrics();
+  if (batch_lanes == 0) {
+    sm.searches->Increment();
+  } else {
+    sm.batch_walks->Increment();
+    sm.batch_lanes->Increment(batch_lanes);
+    sm.lane_occupancy->Observe(static_cast<double>(batch_lanes));
   }
+  sm.expansions->Increment(t.expansions);
+  sm.packages->Increment(t.packages);
+  sm.pruned->Increment(t.pruned);
+  sm.truncations->Increment(t.truncated);
 }
 
 // Zero active features: utility is identically 0, so the ranking is decided
@@ -1276,7 +1273,7 @@ Result<SearchResult> TopKPkgSearch::Search(const Vec& weights, std::size_t k,
 Result<std::vector<SearchResult>> TopKPkgSearch::SearchBatch(
     const std::vector<const Vec*>& weights, std::size_t k,
     const SearchLimits& limits, const PackageFilter* filter,
-    SearchScratch* scratch, const ExecutionOptions& exec) const {
+    SearchScratch* scratch) const {
   TOPKPKG_RETURN_IF_ERROR(
       CheckSearchArgs(*evaluator_, k, weights.data(), weights.size()));
   std::vector<SearchResult> results(weights.size());
@@ -1293,7 +1290,7 @@ Result<std::vector<SearchResult>> TopKPkgSearch::SearchBatch(
   }
   // The SIMD suite every many-lane dot runs through (bit-identical per lane
   // whichever backend is picked).
-  const model::AggBatchKernels& kern = model::AggBatchKernelsFor(exec.simd);
+  const model::AggBatchKernels& kern = model::AggBatchKernelsFor();
 
   for (const auto& [sig, lanes] : groups) {
     if (AllInactive(sig)) {

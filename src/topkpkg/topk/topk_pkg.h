@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "topkpkg/common/execution_options.h"
 #include "topkpkg/common/status.h"
 #include "topkpkg/common/vec.h"
 #include "topkpkg/model/package.h"
@@ -277,16 +276,13 @@ class TopKPkgSearch {
   // utilities, tie order, truncation flags and all counters
   // (search_batch_property_test and search_golden_test enforce this). A
   // group of one lane takes the one-lane walk; groups wider than
-  // kMaxBatchLanes are chunked; entries must be non-null.
-  //
-  // `exec` selects only the SIMD kernel suite the many-lane walks run on
-  // (ExecutionOptions::simd); its other fields are ignored here. Every
-  // suite is bit-identical per lane.
+  // kMaxBatchLanes are chunked; entries must be non-null. The many-lane
+  // walks run on the widest kernel suite the CPU supports
+  // (model::AggBatchKernelsFor); every suite is bit-identical per lane.
   Result<std::vector<SearchResult>> SearchBatch(
       const std::vector<const Vec*>& weights, std::size_t k,
       const SearchLimits& limits = {}, const PackageFilter* filter = nullptr,
-      SearchScratch* scratch = nullptr,
-      const ExecutionOptions& exec = {}) const;
+      SearchScratch* scratch = nullptr) const;
 
  private:
   // The one Top-k-Pkg branch-and-bound walk over the signature group whose

@@ -179,19 +179,21 @@ TEST(IntegrationTest, ElicitationImprovesTrueUtility) {
     opts.num_samples = 80;
     opts.ranking.k = 3;
     opts.ranking.sigma = 3;
-    recsys::PackageRecommender rec(&evaluator, &prior, opts,
-                                   200 + static_cast<uint64_t>(u));
-    auto first = rec.RunRound(user);
+    auto rec = std::move(recsys::PackageRecommender::Create(
+                             &evaluator, &prior, opts,
+                             200 + static_cast<uint64_t>(u)))
+                   .value();
+    auto first = rec->RunRound(user);
     ASSERT_TRUE(first.ok()) << first.status();
     double before = first->top_k.empty()
                         ? -1.0
                         : evaluator.Utility(first->top_k[0], hidden);
     for (int round = 0; round < 6; ++round) {
-      ASSERT_TRUE(rec.RunRound(user).ok());
+      ASSERT_TRUE(rec->RunRound(user).ok());
     }
-    double after = rec.current_top_k().empty()
+    double after = rec->current_top_k().empty()
                        ? -1.0
-                       : evaluator.Utility(rec.current_top_k()[0], hidden);
+                       : evaluator.Utility(rec->current_top_k()[0], hidden);
     if (after >= before - 1e-9) ++improved;
   }
   EXPECT_GE(improved, kUsers - 1)

@@ -155,25 +155,31 @@ class IsRecommenderFixture : public ::testing::Test {
   std::unique_ptr<model::Profile> profile_;
   std::unique_ptr<model::PackageEvaluator> evaluator_;
   std::unique_ptr<prob::GaussianMixture> prior_;
+
+  std::unique_ptr<recsys::PackageRecommender> NewRecommender(
+      recsys::RecommenderOptions opts, uint64_t seed) const {
+    return std::move(recsys::PackageRecommender::Create(
+                         evaluator_.get(), prior_.get(), std::move(opts),
+                         seed))
+        .value();
+  }
 };
 
 TEST_F(IsRecommenderFixture, ImportancePoolReusesSurvivorsAcrossFeedback) {
-  recsys::PackageRecommender rec(evaluator_.get(), prior_.get(),
-                                 Options(/*psi=*/1.0), /*seed=*/11);
+  auto rec = NewRecommender(Options(/*psi=*/1.0), /*seed=*/11);
   recsys::SimulatedUser user({0.8, 0.4, -0.2});
-  EXPECT_TRUE(SawReuseAcrossConstraintChange(rec, user, 5));
+  EXPECT_TRUE(SawReuseAcrossConstraintChange(*rec, user, 5));
   // Weights stay a coherent importance-weighted pool.
-  for (std::size_t i = 0; i < rec.pool().size(); ++i) {
-    EXPECT_TRUE(std::isfinite(rec.pool().sample(i).weight));
-    EXPECT_GT(rec.pool().sample(i).weight, 0.0);
+  for (std::size_t i = 0; i < rec->pool().size(); ++i) {
+    EXPECT_TRUE(std::isfinite(rec->pool().sample(i).weight));
+    EXPECT_GT(rec->pool().sample(i).weight, 0.0);
   }
 }
 
 TEST_F(IsRecommenderFixture, NoisyImportancePoolAlsoReuses) {
-  recsys::PackageRecommender rec(evaluator_.get(), prior_.get(),
-                                 Options(/*psi=*/0.9), /*seed=*/13);
+  auto rec = NewRecommender(Options(/*psi=*/0.9), /*seed=*/13);
   recsys::SimulatedUser user({0.8, 0.4, -0.2});
-  EXPECT_TRUE(SawReuseAcrossConstraintChange(rec, user, 5));
+  EXPECT_TRUE(SawReuseAcrossConstraintChange(*rec, user, 5));
 }
 
 }  // namespace

@@ -54,6 +54,24 @@ TEST(McmcSamplerTest, ScalesToHighDimensionality) {
   for (const auto& s : *samples) EXPECT_TRUE(checker.IsValid(s.w));
 }
 
+TEST(McmcSamplerTest, ZeroThinningIsInvalidArgument) {
+  // Draw collects every `thinning`-th chain state; zero has no meaning and
+  // must be refused up front, not reach the modulo.
+  Rng rng(9);
+  ConstraintChecker checker({});
+  prob::GaussianMixture prior = DefaultPrior(2, 2);
+  McmcSamplerOptions opts;
+  opts.thinning = 0;
+  McmcSampler sampler(&prior, &checker, opts);
+  SampleStats stats;
+  auto samples = sampler.Draw(10, rng, &stats);
+  ASSERT_FALSE(samples.ok());
+  EXPECT_EQ(samples.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(samples.status().message().find("thinning"), std::string::npos)
+      << samples.status();
+  EXPECT_EQ(stats.proposed, 0u);
+}
+
 TEST(McmcSamplerTest, ChainMovesAroundTheRegion) {
   Rng rng(5);
   ConstraintChecker checker({});

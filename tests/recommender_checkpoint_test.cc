@@ -66,6 +66,13 @@ class CheckpointFixture : public ::testing::Test {
   std::unique_ptr<model::Profile> profile_;
   std::unique_ptr<model::PackageEvaluator> evaluator_;
   std::unique_ptr<prob::GaussianMixture> prior_;
+
+  std::unique_ptr<PackageRecommender> NewRecommender(RecommenderOptions opts,
+                                                     uint64_t seed) const {
+    return std::move(PackageRecommender::Create(evaluator_.get(), prior_.get(),
+                                                std::move(opts), seed))
+        .value();
+  }
 };
 
 TEST_F(CheckpointFixture, RestoredSessionResumesBitIdenticallyAndWarm) {
@@ -73,24 +80,23 @@ TEST_F(CheckpointFixture, RestoredSessionResumesBitIdenticallyAndWarm) {
   SimulatedUser user({0.8, 0.4, -0.2});
 
   // The uninterrupted session: 3 rounds, checkpoint, 2 more rounds.
-  PackageRecommender original(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), /*seed=*/11);
+  auto original = NewRecommender(DefaultOptions(), /*seed=*/11);
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(original.RunRound(user).ok());
+    ASSERT_TRUE(original->RunRound(user).ok());
   }
   {
     auto store = storage::SessionStore::Open(path);
     ASSERT_TRUE(store.ok()) << store.status();
-    ASSERT_TRUE(original.Checkpoint(*store, /*session_id=*/42).ok());
+    ASSERT_TRUE(original->Checkpoint(*store, /*session_id=*/42).ok());
     // `store` closes here — the "kill".
   }
   std::set<sampling::SampleId> checkpoint_ids;
-  for (std::size_t i = 0; i < original.pool().size(); ++i) {
-    checkpoint_ids.insert(original.pool().id(i));
+  for (std::size_t i = 0; i < original->pool().size(); ++i) {
+    checkpoint_ids.insert(original->pool().id(i));
   }
   std::vector<RoundLog> want;
   for (int round = 0; round < 2; ++round) {
-    auto log = original.RunRound(user);
+    auto log = original->RunRound(user);
     ASSERT_TRUE(log.ok()) << log.status();
     want.push_back(*log);
   }
@@ -99,18 +105,17 @@ TEST_F(CheckpointFixture, RestoredSessionResumesBitIdenticallyAndWarm) {
   // construction), Restore, same 2 rounds.
   auto store = storage::SessionStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status();
-  PackageRecommender restored(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), /*seed=*/999);  // Seed is
-  // irrelevant: Restore overwrites the RNG stream position.
-  ASSERT_TRUE(restored.Restore(*store, 42).ok());
+  // The seed is irrelevant: Restore overwrites the RNG stream position.
+  auto restored = NewRecommender(DefaultOptions(), /*seed=*/999);
+  ASSERT_TRUE(restored->Restore(*store, 42).ok());
 
   // Restored identity: the full checkpoint-time pool and session history.
-  EXPECT_EQ(restored.pool().size(), DefaultOptions().num_samples);
-  EXPECT_EQ(restored.current_top_k().size(), 3u);
-  EXPECT_EQ(restored.round_history().size(), 3u);
+  EXPECT_EQ(restored->pool().size(), DefaultOptions().num_samples);
+  EXPECT_EQ(restored->current_top_k().size(), 3u);
+  EXPECT_EQ(restored->round_history().size(), 3u);
 
   for (int round = 0; round < 2; ++round) {
-    auto log = restored.RunRound(user);
+    auto log = restored->RunRound(user);
     ASSERT_TRUE(log.ok()) << log.status();
     ExpectSameRound(want[static_cast<std::size_t>(round)], *log);
     if (round == 0) {
@@ -118,7 +123,7 @@ TEST_F(CheckpointFixture, RestoredSessionResumesBitIdenticallyAndWarm) {
       // reused and cached top lists are served.
       EXPECT_GT(log->samples_reused, 0u);
       EXPECT_GT(log->searches_skipped, 0u);
-      EXPECT_LT(log->samples_resampled, restored.pool().size());
+      EXPECT_LT(log->samples_resampled, restored->pool().size());
     }
   }
   // Both sessions end in the same place. Sample *content* is bit-identical
@@ -126,42 +131,40 @@ TEST_F(CheckpointFixture, RestoredSessionResumesBitIdenticallyAndWarm) {
   // (fresh post-restore draws mint new ids — in a real restart they would
   // continue right after the restored maximum, but inside one test process
   // the shared mint counter has already advanced past the original run's).
-  EXPECT_EQ(original.current_top_k(), restored.current_top_k());
-  ASSERT_EQ(original.pool().size(), restored.pool().size());
-  for (std::size_t i = 0; i < original.pool().size(); ++i) {
-    if (checkpoint_ids.count(original.pool().id(i)) > 0) {
-      EXPECT_EQ(original.pool().id(i), restored.pool().id(i));
+  EXPECT_EQ(original->current_top_k(), restored->current_top_k());
+  ASSERT_EQ(original->pool().size(), restored->pool().size());
+  for (std::size_t i = 0; i < original->pool().size(); ++i) {
+    if (checkpoint_ids.count(original->pool().id(i)) > 0) {
+      EXPECT_EQ(original->pool().id(i), restored->pool().id(i));
     }
-    EXPECT_EQ(original.pool().sample(i).w, restored.pool().sample(i).w);
-    EXPECT_EQ(original.pool().sample(i).weight,
-              restored.pool().sample(i).weight);
+    EXPECT_EQ(original->pool().sample(i).w, restored->pool().sample(i).w);
+    EXPECT_EQ(original->pool().sample(i).weight,
+              restored->pool().sample(i).weight);
   }
 }
 
 TEST_F(CheckpointFixture, SampleIdsSurviveRestartWithoutCollisions) {
   const std::string path = TempStorePath("mintfloor");
   SimulatedUser user({0.8, 0.4, -0.2});
-  PackageRecommender original(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), 11);
-  ASSERT_TRUE(original.RunRound(user).ok());
+  auto original = NewRecommender(DefaultOptions(), 11);
+  ASSERT_TRUE(original->RunRound(user).ok());
   std::vector<sampling::SampleId> ids;
-  for (std::size_t i = 0; i < original.pool().size(); ++i) {
-    ids.push_back(original.pool().id(i));
+  for (std::size_t i = 0; i < original->pool().size(); ++i) {
+    ids.push_back(original->pool().id(i));
   }
   {
     auto store = storage::SessionStore::Open(path);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(original.Checkpoint(*store, 1).ok());
+    ASSERT_TRUE(original->Checkpoint(*store, 1).ok());
   }
   auto store = storage::SessionStore::Open(path);
   ASSERT_TRUE(store.ok());
-  PackageRecommender restored(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), 11);
-  ASSERT_TRUE(restored.Restore(*store, 1).ok());
+  auto restored = NewRecommender(DefaultOptions(), 11);
+  ASSERT_TRUE(restored->Restore(*store, 1).ok());
   sampling::SampleId max_restored = 0;
-  ASSERT_EQ(restored.pool().size(), ids.size());
+  ASSERT_EQ(restored->pool().size(), ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(restored.pool().id(i), ids[i]);
+    EXPECT_EQ(restored->pool().id(i), ids[i]);
     max_restored = std::max(max_restored, ids[i]);
   }
   // Ids minted after the restore can never collide with restored ones.
@@ -173,36 +176,33 @@ TEST_F(CheckpointFixture, SampleIdsSurviveRestartWithoutCollisions) {
 TEST_F(CheckpointFixture, RestoreRejectsMismatchedConfiguration) {
   const std::string path = TempStorePath("config");
   SimulatedUser user({0.8, 0.4, -0.2});
-  PackageRecommender original(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), 11);
-  ASSERT_TRUE(original.RunRound(user).ok());
+  auto original = NewRecommender(DefaultOptions(), 11);
+  ASSERT_TRUE(original->RunRound(user).ok());
   auto store = storage::SessionStore::Open(path);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(original.Checkpoint(*store, 7).ok());
+  ASSERT_TRUE(original->Checkpoint(*store, 7).ok());
 
   RecommenderOptions other = DefaultOptions();
   other.num_samples = 61;  // Any semantic knob disagreeing must reject.
-  PackageRecommender mismatched(evaluator_.get(), prior_.get(), other, 11);
-  EXPECT_EQ(mismatched.Restore(*store, 7).code(),
+  auto mismatched = NewRecommender(other, 11);
+  EXPECT_EQ(mismatched->Restore(*store, 7).code(),
             StatusCode::kInvalidArgument);
   // And an absent session is NotFound, not a crash.
-  PackageRecommender fresh(evaluator_.get(), prior_.get(), DefaultOptions(),
-                           11);
-  EXPECT_EQ(fresh.Restore(*store, 12345).code(), StatusCode::kNotFound);
+  auto fresh = NewRecommender(DefaultOptions(), 11);
+  EXPECT_EQ(fresh->Restore(*store, 12345).code(), StatusCode::kNotFound);
 }
 
 TEST_F(CheckpointFixture, TornCheckpointFallsBackToPreviousGeneration) {
   const std::string path = TempStorePath("torn");
   SimulatedUser user({0.8, 0.4, -0.2});
-  PackageRecommender original(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), 11);
-  ASSERT_TRUE(original.RunRound(user).ok());
+  auto original = NewRecommender(DefaultOptions(), 11);
+  ASSERT_TRUE(original->RunRound(user).ok());
   auto store = storage::SessionStore::Open(path);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(original.Checkpoint(*store, 7).ok());  // seq 1, odd slot.
-  ASSERT_TRUE(original.RunRound(user).ok());
-  ASSERT_TRUE(original.Checkpoint(*store, 7).ok());  // seq 2, even slot.
-  auto want = original.RunRound(user);
+  ASSERT_TRUE(original->Checkpoint(*store, 7).ok());  // seq 1, odd slot.
+  ASSERT_TRUE(original->RunRound(user).ok());
+  ASSERT_TRUE(original->Checkpoint(*store, 7).ok());  // seq 2, even slot.
+  auto want = original->RunRound(user);
   ASSERT_TRUE(want.ok());
 
   // Simulate a crash in the middle of checkpoint #3: some seq-3 records
@@ -214,12 +214,11 @@ TEST_F(CheckpointFixture, TornCheckpointFallsBackToPreviousGeneration) {
   ASSERT_TRUE(store
                   ->Put(7, storage::GenSlotKind(storage::kKindSamplePool, 3),
                         wrap.bytes() +
-                            storage::EncodeSamplePool(original.pool()))
+                            storage::EncodeSamplePool(original->pool()))
                   .ok());
-  PackageRecommender restored(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), 11);
-  ASSERT_TRUE(restored.Restore(*store, 7).ok());
-  auto got = restored.RunRound(user);
+  auto restored = NewRecommender(DefaultOptions(), 11);
+  ASSERT_TRUE(restored->Restore(*store, 7).ok());
+  auto got = restored->RunRound(user);
   ASSERT_TRUE(got.ok());
   ExpectSameRound(*want, *got);
 
@@ -231,11 +230,10 @@ TEST_F(CheckpointFixture, TornCheckpointFallsBackToPreviousGeneration) {
   ASSERT_TRUE(store
                   ->Put(7, storage::GenSlotKind(storage::kKindSamplePool, 2),
                         bad.bytes() +
-                            storage::EncodeSamplePool(original.pool()))
+                            storage::EncodeSamplePool(original->pool()))
                   .ok());
-  PackageRecommender refused(evaluator_.get(), prior_.get(),
-                             DefaultOptions(), 11);
-  EXPECT_EQ(refused.Restore(*store, 7).code(),
+  auto refused = NewRecommender(DefaultOptions(), 11);
+  EXPECT_EQ(refused->Restore(*store, 7).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -243,20 +241,20 @@ TEST_F(CheckpointFixture, InterleavedSessionsCheckpointAndRestore) {
   const std::string path = TempStorePath("multisession");
   SimulatedUser user_a({0.8, 0.4, -0.2});
   SimulatedUser user_b({-0.3, 0.9, 0.1});
-  PackageRecommender a(evaluator_.get(), prior_.get(), DefaultOptions(), 11);
-  PackageRecommender b(evaluator_.get(), prior_.get(), DefaultOptions(), 77);
+  auto a = NewRecommender(DefaultOptions(), 11);
+  auto b = NewRecommender(DefaultOptions(), 77);
 
   auto store = storage::SessionStore::Open(path);
   ASSERT_TRUE(store.ok());
   // Interleaved rounds and checkpoints of two sessions into one store.
   for (int round = 0; round < 2; ++round) {
-    ASSERT_TRUE(a.RunRound(user_a).ok());
-    ASSERT_TRUE(a.Checkpoint(*store, 1).ok());
-    ASSERT_TRUE(b.RunRound(user_b).ok());
-    ASSERT_TRUE(b.Checkpoint(*store, 2).ok());
+    ASSERT_TRUE(a->RunRound(user_a).ok());
+    ASSERT_TRUE(a->Checkpoint(*store, 1).ok());
+    ASSERT_TRUE(b->RunRound(user_b).ok());
+    ASSERT_TRUE(b->Checkpoint(*store, 2).ok());
   }
-  auto next_a = a.RunRound(user_a);
-  auto next_b = b.RunRound(user_b);
+  auto next_a = a->RunRound(user_a);
+  auto next_b = b->RunRound(user_b);
   ASSERT_TRUE(next_a.ok());
   ASSERT_TRUE(next_b.ok());
 
@@ -264,12 +262,12 @@ TEST_F(CheckpointFixture, InterleavedSessionsCheckpointAndRestore) {
   store = Status::Internal("released");
   auto reopened = storage::SessionStore::Open(path);
   ASSERT_TRUE(reopened.ok());
-  PackageRecommender ra(evaluator_.get(), prior_.get(), DefaultOptions(), 0);
-  PackageRecommender rb(evaluator_.get(), prior_.get(), DefaultOptions(), 0);
-  ASSERT_TRUE(ra.Restore(*reopened, 1).ok());
-  ASSERT_TRUE(rb.Restore(*reopened, 2).ok());
-  auto got_a = ra.RunRound(user_a);
-  auto got_b = rb.RunRound(user_b);
+  auto ra = NewRecommender(DefaultOptions(), 0);
+  auto rb = NewRecommender(DefaultOptions(), 0);
+  ASSERT_TRUE(ra->Restore(*reopened, 1).ok());
+  ASSERT_TRUE(rb->Restore(*reopened, 2).ok());
+  auto got_a = ra->RunRound(user_a);
+  auto got_b = rb->RunRound(user_b);
   ASSERT_TRUE(got_a.ok());
   ASSERT_TRUE(got_b.ok());
   ExpectSameRound(*next_a, *got_a);
@@ -280,18 +278,45 @@ TEST_F(CheckpointFixture, InterleavedSessionsCheckpointAndRestore) {
   EXPECT_GT(got_b->searches_skipped, 0u);
 }
 
+// The meta record's config fingerprint for library-default options, pinned
+// byte for byte: Restore refuses any checkpoint whose fingerprint differs,
+// so a change here orphans every stored session. Settings that became
+// constants (constraint pruning, the incremental engine) keep their fields.
+TEST_F(CheckpointFixture, DefaultOptionsFingerprintIsPinned) {
+  const std::string path = TempStorePath("fingerprint");
+  auto rec = NewRecommender(RecommenderOptions(), 11);
+  auto store = storage::SessionStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  ASSERT_TRUE(rec->Checkpoint(*store, 5).ok());
+  auto meta_bytes = store->Get(5, storage::kKindRecommenderMeta);
+  ASSERT_TRUE(meta_bytes.ok()) << meta_bytes.status();
+  // Meta layout: u8 version, u64 checkpoint sequence, string fingerprint.
+  ByteReader meta(*meta_bytes);
+  auto version = meta.GetU8();
+  ASSERT_TRUE(version.ok());
+  EXPECT_EQ(*version, 1u);
+  auto seq = meta.GetU64();
+  ASSERT_TRUE(seq.ok());
+  EXPECT_EQ(*seq, 1u);
+  auto fingerprint = meta.GetString();
+  ASSERT_TRUE(fingerprint.ok());
+  EXPECT_EQ(*fingerprint,
+            "m=3;items=40;phi=3;profile=sum,avg,min;sampler=MS;semantics=EXP;"
+            "num_samples=300;num_recommended=5;num_random=5;k=5;sigma=5;"
+            "psi=1.000000;prune=1;incremental=1;sharded_draw=0");
+}
+
 // Compaction across many checkpoints of a live session keeps only the
 // newest generation; the restored state is unaffected.
 TEST_F(CheckpointFixture, CompactionPreservesTheLatestCheckpoint) {
   const std::string path = TempStorePath("compact");
   SimulatedUser user({0.8, 0.4, -0.2});
-  PackageRecommender original(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), 11);
+  auto original = NewRecommender(DefaultOptions(), 11);
   auto store = storage::SessionStore::Open(path);
   ASSERT_TRUE(store.ok());
   for (int round = 0; round < 4; ++round) {
-    ASSERT_TRUE(original.RunRound(user).ok());
-    ASSERT_TRUE(original.Checkpoint(*store, 3).ok());
+    ASSERT_TRUE(original->RunRound(user).ok());
+    ASSERT_TRUE(original->Checkpoint(*store, 3).ok());
   }
   EXPECT_GT(store->stats().dead_bytes, 0u);
   const auto before = store->stats().file_bytes;
@@ -299,12 +324,11 @@ TEST_F(CheckpointFixture, CompactionPreservesTheLatestCheckpoint) {
   EXPECT_LT(store->stats().file_bytes, before);
   EXPECT_EQ(store->stats().dead_bytes, 0u);
 
-  auto want = original.RunRound(user);
+  auto want = original->RunRound(user);
   ASSERT_TRUE(want.ok());
-  PackageRecommender restored(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), 0);
-  ASSERT_TRUE(restored.Restore(*store, 3).ok());
-  auto got = restored.RunRound(user);
+  auto restored = NewRecommender(DefaultOptions(), 0);
+  ASSERT_TRUE(restored->Restore(*store, 3).ok());
+  auto got = restored->RunRound(user);
   ASSERT_TRUE(got.ok());
   ExpectSameRound(*want, *got);
 }

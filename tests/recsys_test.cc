@@ -38,6 +38,13 @@ class RecsysFixture : public ::testing::Test {
   std::unique_ptr<model::Profile> profile_;
   std::unique_ptr<model::PackageEvaluator> evaluator_;
   std::unique_ptr<prob::GaussianMixture> prior_;
+
+  std::unique_ptr<PackageRecommender> NewRecommender(RecommenderOptions opts,
+                                                     uint64_t seed) const {
+    return std::move(PackageRecommender::Create(evaluator_.get(), prior_.get(),
+                                                std::move(opts), seed))
+        .value();
+  }
 };
 
 TEST_F(RecsysFixture, SimulatedUserClicksTrueBest) {
@@ -61,52 +68,51 @@ TEST_F(RecsysFixture, NoisyUserSometimesClicksRandomly) {
 }
 
 TEST_F(RecsysFixture, RoundPresentsRecommendedPlusRandom) {
-  PackageRecommender rec(evaluator_.get(), prior_.get(), DefaultOptions(),
-                         /*seed=*/11);
+  auto rec = NewRecommender(DefaultOptions(), /*seed=*/11);
   SimulatedUser user({0.8, 0.4, -0.2});
-  auto log = rec.RunRound(user);
+  auto log = rec->RunRound(user);
   ASSERT_TRUE(log.ok()) << log.status();
   EXPECT_EQ(log->presented.size(), 6u);
   EXPECT_EQ(log->num_recommended, 3u);
   EXPECT_LT(log->clicked, log->presented.size());
   EXPECT_EQ(log->presented_vectors.size(), 6u);
   // Feedback recorded: clicked ≻ the other five (minus any cycle skips).
-  EXPECT_GE(rec.feedback().num_edges(), 1u);
+  EXPECT_GE(rec->feedback().num_edges(), 1u);
 }
 
 TEST_F(RecsysFixture, FeedbackAccumulatesAcrossRounds) {
-  PackageRecommender rec(evaluator_.get(), prior_.get(), DefaultOptions(), 12);
+  auto rec = NewRecommender(DefaultOptions(), 12);
   SimulatedUser user({0.8, 0.4, -0.2});
   std::size_t prev_edges = 0;
   for (int round = 0; round < 3; ++round) {
-    auto log = rec.RunRound(user);
+    auto log = rec->RunRound(user);
     ASSERT_TRUE(log.ok()) << log.status();
-    EXPECT_GE(rec.feedback().num_edges(), prev_edges);
-    prev_edges = rec.feedback().num_edges();
+    EXPECT_GE(rec->feedback().num_edges(), prev_edges);
+    prev_edges = rec->feedback().num_edges();
   }
   EXPECT_GE(prev_edges, 5u);
 }
 
 TEST_F(RecsysFixture, ConvergesForNoiselessUser) {
-  PackageRecommender rec(evaluator_.get(), prior_.get(), DefaultOptions(), 13);
+  auto rec = NewRecommender(DefaultOptions(), 13);
   SimulatedUser user({0.9, 0.3, -0.4});
-  auto clicks = rec.RunUntilConverged(user, /*stable_rounds=*/2,
-                                      /*max_rounds=*/25);
+  auto clicks = rec->RunUntilConverged(user, /*stable_rounds=*/2,
+                                       /*max_rounds=*/25);
   ASSERT_TRUE(clicks.ok()) << clicks.status();
   EXPECT_GE(*clicks, 2u);
   EXPECT_LE(*clicks, 25u);
-  EXPECT_FALSE(rec.current_top_k().empty());
+  EXPECT_FALSE(rec->current_top_k().empty());
 }
 
 TEST_F(RecsysFixture, LearnedTopPackageHasHighTrueUtility) {
   // After elicitation the recommended top package should be close in true
   // utility to the global optimum under the hidden weights.
-  PackageRecommender rec(evaluator_.get(), prior_.get(), DefaultOptions(), 14);
+  auto rec = NewRecommender(DefaultOptions(), 14);
   Vec hidden = {0.9, 0.5, -0.3};
   SimulatedUser user(hidden);
-  ASSERT_TRUE(rec.RunUntilConverged(user, 2, 20).ok());
-  ASSERT_FALSE(rec.current_top_k().empty());
-  double got = evaluator_->Utility(rec.current_top_k()[0], hidden);
+  ASSERT_TRUE(rec->RunUntilConverged(user, 2, 20).ok());
+  ASSERT_FALSE(rec->current_top_k().empty());
+  double got = evaluator_->Utility(rec->current_top_k()[0], hidden);
 
   topk::NaivePackageEnumerator oracle(evaluator_.get());
   auto best = oracle.Search(hidden, 1);
@@ -119,9 +125,9 @@ TEST_F(RecsysFixture, LearnedTopPackageHasHighTrueUtility) {
 TEST_F(RecsysFixture, PackageFilterRespected) {
   RecommenderOptions opts = DefaultOptions();
   opts.package_filter = [](const model::Package& p) { return p.size() >= 2; };
-  PackageRecommender rec(evaluator_.get(), prior_.get(), opts, 15);
+  auto rec = NewRecommender(opts, 15);
   SimulatedUser user({0.5, 0.5, 0.5});
-  auto log = rec.RunRound(user);
+  auto log = rec->RunRound(user);
   ASSERT_TRUE(log.ok()) << log.status();
   for (const auto& p : log->presented) EXPECT_GE(p.size(), 2u);
 }
@@ -129,10 +135,10 @@ TEST_F(RecsysFixture, PackageFilterRespected) {
 TEST_F(RecsysFixture, NoisyFeedbackStillRuns) {
   RecommenderOptions opts = DefaultOptions();
   opts.sampler_base.noise.psi = 0.7;
-  PackageRecommender rec(evaluator_.get(), prior_.get(), opts, 16);
+  auto rec = NewRecommender(opts, 16);
   SimulatedUser user({0.8, 0.2, -0.5}, /*noise_psi=*/0.7);
   for (int round = 0; round < 4; ++round) {
-    auto log = rec.RunRound(user);
+    auto log = rec->RunRound(user);
     ASSERT_TRUE(log.ok()) << log.status();
   }
 }
@@ -143,9 +149,9 @@ TEST_F(RecsysFixture, RejectionAndImportanceSamplersWorkToo) {
     RecommenderOptions opts = DefaultOptions();
     opts.sampler = kind;
     opts.num_samples = 40;
-    PackageRecommender rec(evaluator_.get(), prior_.get(), opts, 17);
+    auto rec = NewRecommender(opts, 17);
     SimulatedUser user({0.6, 0.3, 0.1});
-    auto log = rec.RunRound(user);
+    auto log = rec->RunRound(user);
     ASSERT_TRUE(log.ok()) << SamplerKindName(kind) << ": " << log.status();
   }
 }
@@ -159,11 +165,11 @@ TEST_F(RecsysFixture, ParallelSamplingRoundIsSeedDeterministic) {
   opts.sampler = SamplerKind::kRejection;
   opts.sampler_base.exec.num_threads = 4;
   opts.ranking.exec.num_threads = 4;
-  PackageRecommender a(evaluator_.get(), prior_.get(), opts, /*seed=*/31);
-  PackageRecommender b(evaluator_.get(), prior_.get(), opts, /*seed=*/31);
+  auto a = NewRecommender(opts, /*seed=*/31);
+  auto b = NewRecommender(opts, /*seed=*/31);
   for (int round = 0; round < 3; ++round) {
-    auto la = a.RunRound(user);
-    auto lb = b.RunRound(user);
+    auto la = a->RunRound(user);
+    auto lb = b->RunRound(user);
     ASSERT_TRUE(la.ok()) << la.status();
     ASSERT_TRUE(lb.ok()) << lb.status();
     EXPECT_EQ(la->presented, lb->presented) << "round " << round;
@@ -171,22 +177,21 @@ TEST_F(RecsysFixture, ParallelSamplingRoundIsSeedDeterministic) {
     EXPECT_EQ(la->top_k, lb->top_k) << "round " << round;
     EXPECT_EQ(la->presented.size(), opts.num_recommended + opts.num_random);
   }
-  EXPECT_EQ(a.feedback().num_edges(), b.feedback().num_edges());
+  EXPECT_EQ(a->feedback().num_edges(), b->feedback().num_edges());
 }
 
 TEST_F(RecsysFixture, IncrementalEngineReusesPoolAcrossRounds) {
-  PackageRecommender rec(evaluator_.get(), prior_.get(), DefaultOptions(),
-                         /*seed=*/41);
+  auto rec = NewRecommender(DefaultOptions(), /*seed=*/41);
   SimulatedUser user({0.7, 0.3, -0.2});
   std::size_t total_reused = 0;
   for (int round = 0; round < 4; ++round) {
-    auto log = rec.RunRound(user);
+    auto log = rec->RunRound(user);
     ASSERT_TRUE(log.ok()) << log.status();
     // The pool always lands on its target size, partitioned into survivors
     // and fresh replacements.
     EXPECT_EQ(log->samples_reused + log->samples_resampled, 60u)
         << "round " << round;
-    EXPECT_EQ(rec.pool().size(), 60u);
+    EXPECT_EQ(rec->pool().size(), 60u);
     // Reused samples' searches are served from the top-list cache.
     EXPECT_EQ(log->searches_skipped, log->samples_reused) << "round " << round;
     if (round == 0) {
@@ -209,12 +214,12 @@ TEST_F(RecsysFixture, ImportanceSamplerReusesSurvivorsAcrossConstraintChange) {
   RecommenderOptions opts = DefaultOptions();
   opts.sampler = SamplerKind::kImportance;
   opts.num_samples = 40;
-  PackageRecommender rec(evaluator_.get(), prior_.get(), opts, /*seed=*/45);
+  auto rec = NewRecommender(opts, /*seed=*/45);
   SimulatedUser user({0.6, 0.3, 0.1});
   std::size_t reused_after_feedback = 0;
   for (int round = 0; round < 3; ++round) {
-    std::size_t edges_before = rec.feedback().num_edges();
-    auto log = rec.RunRound(user);
+    std::size_t edges_before = rec->feedback().num_edges();
+    auto log = rec->RunRound(user);
     ASSERT_TRUE(log.ok()) << log.status();
     EXPECT_EQ(log->samples_reused + log->samples_resampled, 40u)
         << "round " << round;
@@ -227,31 +232,13 @@ TEST_F(RecsysFixture, ImportanceSamplerReusesSurvivorsAcrossConstraintChange) {
   EXPECT_GT(reused_after_feedback, 0u);
 }
 
-TEST_F(RecsysFixture, FromScratchOraclePathStillWorks) {
-  RecommenderOptions opts = DefaultOptions();
-  opts.incremental = false;
-  PackageRecommender rec(evaluator_.get(), prior_.get(), opts, /*seed=*/42);
-  SimulatedUser user({0.7, 0.3, -0.2});
-  for (int round = 0; round < 3; ++round) {
-    auto log = rec.RunRound(user);
-    ASSERT_TRUE(log.ok()) << log.status();
-    EXPECT_EQ(log->samples_resampled, 60u);
-    EXPECT_EQ(log->samples_reused, 0u);
-    EXPECT_EQ(log->searches_skipped, 0u);
-    EXPECT_EQ(rec.pool().size(), 0u);  // No persistent pool on this path.
-  }
-  EXPECT_FALSE(rec.current_top_k().empty());
-}
-
-TEST_F(RecsysFixture, FromScratchEngineIsSeedDeterministic) {
-  RecommenderOptions opts = DefaultOptions();
-  opts.incremental = false;
-  PackageRecommender a(evaluator_.get(), prior_.get(), opts, /*seed=*/43);
-  PackageRecommender b(evaluator_.get(), prior_.get(), opts, /*seed=*/43);
+TEST_F(RecsysFixture, RoundEngineIsSeedDeterministic) {
+  auto a = NewRecommender(DefaultOptions(), /*seed=*/43);
+  auto b = NewRecommender(DefaultOptions(), /*seed=*/43);
   SimulatedUser user({0.8, -0.1, 0.4});
   for (int round = 0; round < 3; ++round) {
-    auto la = a.RunRound(user);
-    auto lb = b.RunRound(user);
+    auto la = a->RunRound(user);
+    auto lb = b->RunRound(user);
     ASSERT_TRUE(la.ok());
     ASSERT_TRUE(lb.ok());
     EXPECT_EQ(la->top_k, lb->top_k) << "round " << round;
@@ -260,12 +247,11 @@ TEST_F(RecsysFixture, FromScratchEngineIsSeedDeterministic) {
 }
 
 TEST_F(RecsysFixture, TopKChangedMatchesSharedOverlapMetric) {
-  PackageRecommender rec(evaluator_.get(), prior_.get(), DefaultOptions(),
-                         /*seed=*/44);
+  auto rec = NewRecommender(DefaultOptions(), /*seed=*/44);
   SimulatedUser user({0.6, 0.5, -0.3});
   std::vector<model::Package> previous;
   for (int round = 0; round < 4; ++round) {
-    auto log = rec.RunRound(user);
+    auto log = rec->RunRound(user);
     ASSERT_TRUE(log.ok()) << log.status();
     // top_k_changed and top_k_overlap must be two views of one metric, and
     // that metric must be TopKOverlap against the previous round's list.
@@ -382,6 +368,14 @@ TEST_F(RecsysFixture, CreateRejectsInvalidOptionsWithTypedErrors) {
     opts.sampler = SamplerKind::kImportance;
     opts.importance.grid_resolution = 0;
     expect_rejects(std::move(opts), "grid_resolution");
+  }
+  {
+    // MCMC keeps every thinning-th chain state; zero has no meaning and
+    // must not reach the first round's draw.
+    RecommenderOptions opts = DefaultOptions();
+    opts.sampler = SamplerKind::kMcmc;
+    opts.mcmc.thinning = 0;
+    expect_rejects(std::move(opts), "mcmc.thinning");
   }
 }
 

@@ -114,12 +114,11 @@ void ExpectBatchMatchesScalar(const TopKPkgSearch& search,
                               const std::vector<Vec>& pool, std::size_t k,
                               const SearchLimits& limits,
                               const TopKPkgSearch::PackageFilter* filter,
-                              const std::string& label,
-                              const ExecutionOptions& exec = {}) {
+                              const std::string& label) {
   std::vector<const Vec*> ptrs;
   ptrs.reserve(pool.size());
   for (const Vec& w : pool) ptrs.push_back(&w);
-  auto batch = search.SearchBatch(ptrs, k, limits, filter, nullptr, exec);
+  auto batch = search.SearchBatch(ptrs, k, limits, filter);
   ASSERT_TRUE(batch.ok()) << label << ": " << batch.status();
   ASSERT_EQ(batch->size(), pool.size()) << label;
   for (std::size_t j = 0; j < pool.size(); ++j) {
@@ -234,21 +233,17 @@ TEST(BatchHeterogeneousPoolTest, WidthAboveMaxLanesIsChunked) {
 
 // ---- SIMD suite sweep ------------------------------------------------------
 //
-// ExecutionOptions::simd claims to never change any result. Sweep {auto-
-// dispatched vector suite, forced scalar reference} and require both to stay
-// per-lane bit-identical to Search — packages, utilities, truncation, and
-// all work counters. Widths: 64 fills a whole mask word (full-mask fast
-// paths + vector bodies), 7 and 37 keep partial masks and vector tails in
-// play, and the tiny_access/tiny_queue limits retire lanes early so the
-// gather kernels see thinned masks.
-class SimdCompactionSweep
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+// The dispatched kernel suite (AVX2, SSE2 or scalar lanes, whichever the CPU
+// runs) must keep SearchBatch per-lane bit-identical to Search — packages,
+// utilities, truncation, and all work counters. Widths: 64 fills a whole
+// mask word (full-mask fast paths + vector bodies), 7 and 37 keep partial
+// masks and vector tails in play, and the tiny_access/tiny_queue limits
+// retire lanes early so the gather kernels see thinned masks. simd_test
+// checks every compiled suite against the reference kernels directly.
+class SimdCompactionSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(SimdCompactionSweep, EveryExecCombinationMatchesScalarSearch) {
-  auto [simd_raw, width] = GetParam();
-  ExecutionOptions exec;
-  exec.simd = static_cast<SimdMode>(simd_raw);
-
+TEST_P(SimdCompactionSweep, EveryWidthAndLimitMatchesScalarSearch) {
+  const int width = GetParam();
   Rng rng(4242 + width);
   auto w = MakeWorkload(RandomTable(12, 3, 0.2, rng), "sum,avg,min", 3);
   TopKPkgSearch search(w.evaluator.get());
@@ -264,52 +259,17 @@ TEST_P(SimdCompactionSweep, EveryExecCombinationMatchesScalarSearch) {
       {"tiny_queue", &tiny_queue},
   };
 
-  const std::string exec_label =
-      exec.simd == SimdMode::kScalar ? "simd=scalar" : "simd=auto";
   for (const auto& [limit_name, limits] : limit_set) {
     std::vector<Vec> pool =
         SignCoherentPool(3, static_cast<std::size_t>(width), rng);
     ExpectBatchMatchesScalar(search, pool, 4, *limits, nullptr,
-                             exec_label + " width=" + std::to_string(width) +
-                                 " limits=" + limit_name,
-                             exec);
+                             "width=" + std::to_string(width) +
+                                 " limits=" + limit_name);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SuitesTimesWidths, SimdCompactionSweep,
-    ::testing::Combine(
-        ::testing::Values(static_cast<int>(SimdMode::kAuto),
-                          static_cast<int>(SimdMode::kScalar)),
-        ::testing::Values(7, 37, 64)));
-
-// The sweep above proves every suite matches Search(); this pins the
-// stronger cross-suite statement directly: the auto-dispatched vector
-// kernels and the forced scalar reference produce bitwise-equal lane
-// results on the same pool, including on a heterogeneous pool whose
-// signatures split into several sub-width walks.
-TEST(SimdCompactionSweepTest, AutoAndForcedScalarAgreeLaneForLane) {
-  Rng rng(90210);
-  auto w = MakeWorkload(RandomTable(14, 3, 0.15, rng), "sum,max,min", 3);
-  TopKPkgSearch search(w.evaluator.get());
-  std::vector<Vec> pool;
-  for (int j = 0; j < 23; ++j) pool.push_back(RandomWeights(3, rng));
-  std::vector<const Vec*> ptrs;
-  for (const Vec& v : pool) ptrs.push_back(&v);
-
-  ExecutionOptions auto_exec;  // simd=kAuto (the default).
-  ExecutionOptions scalar_exec;
-  scalar_exec.simd = SimdMode::kScalar;
-
-  auto a = search.SearchBatch(ptrs, 3, {}, nullptr, nullptr, auto_exec);
-  auto s = search.SearchBatch(ptrs, 3, {}, nullptr, nullptr, scalar_exec);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(s.ok()) << s.status();
-  ASSERT_EQ(a->size(), s->size());
-  for (std::size_t j = 0; j < a->size(); ++j) {
-    ExpectSameResult((*a)[j], (*s)[j], "lane=" + std::to_string(j));
-  }
-}
+INSTANTIATE_TEST_SUITE_P(Widths, SimdCompactionSweep,
+                         ::testing::Values(7, 37, 64));
 
 // ---- Batched scratch reuse -----------------------------------------------
 
@@ -383,8 +343,10 @@ TEST(RankerBatchedEquivalenceTest, BatchedRankingMatchesScalarExactly) {
   ranking::PackageRanker ranker(w.evaluator.get());
   TopKPkgSearch search(w.evaluator.get());
 
+  // More unique weight vectors than one SearchBatch chunk takes, so the
+  // ranker's per-chunk reassembly is checked too.
   std::vector<sampling::WeightedSample> samples;
-  for (int i = 0; i < 24; ++i) {
+  for (std::size_t i = 0; i < kMaxBatchLanes + 26; ++i) {
     sampling::WeightedSample s;
     s.w = RandomWeights(3, rng);
     s.weight = 0.5 + rng.Uniform();
@@ -392,7 +354,7 @@ TEST(RankerBatchedEquivalenceTest, BatchedRankingMatchesScalarExactly) {
     samples.push_back(std::move(s));
     if (i % 3 == 0) {  // Metropolis-rejection shape: exact repeats.
       sampling::WeightedSample dup = samples.back();
-      dup.id = static_cast<sampling::SampleId>(100 + i);
+      dup.id = static_cast<sampling::SampleId>(1000 + i);
       samples.push_back(std::move(dup));
     }
   }
@@ -405,55 +367,52 @@ TEST(RankerBatchedEquivalenceTest, BatchedRankingMatchesScalarExactly) {
 
   for (auto semantics : {ranking::Semantics::kExp, ranking::Semantics::kTkp,
                          ranking::Semantics::kMpo}) {
-    for (std::size_t batch_width : {4u, 64u}) {
-      ranking::RankingOptions opts;
-      opts.k = 4;
-      opts.sigma = 3;
-      opts.exec.batch_width = batch_width;
+    ranking::RankingOptions opts;
+    opts.k = 4;
+    opts.sigma = 3;
 
-      // Reference: one Search() per sample, aggregated directly.
-      std::vector<ranking::SampleTopList> reference;
-      for (const auto& s : samples) {
-        auto r = search.Search(s.w, std::max(opts.k, opts.sigma), opts.limits);
-        ASSERT_TRUE(r.ok()) << r.status();
-        ranking::SampleTopList list;
-        list.packages = std::move(r->packages);
-        list.w = s.w;
-        list.weight = s.weight;
-        list.truncated = r->truncated;
-        reference.push_back(std::move(list));
-      }
-      const ranking::RankingResult scalar =
-          ranker.Aggregate(reference, semantics, opts);
+    // Reference: one Search() per sample, aggregated directly.
+    std::vector<ranking::SampleTopList> reference;
+    for (const auto& s : samples) {
+      auto r = search.Search(s.w, std::max(opts.k, opts.sigma), opts.limits);
+      ASSERT_TRUE(r.ok()) << r.status();
+      ranking::SampleTopList list;
+      list.packages = std::move(r->packages);
+      list.w = s.w;
+      list.weight = s.weight;
+      list.truncated = r->truncated;
+      reference.push_back(std::move(list));
+    }
+    const ranking::RankingResult scalar =
+        ranker.Aggregate(reference, semantics, opts);
 
-      ranking::SearchDedupStats batch_dedup;
-      auto batched =
-          ranker.Rank(samples, semantics, opts, nullptr, &batch_dedup);
-      ASSERT_TRUE(batched.ok()) << batched.status();
+    ranking::SearchDedupStats batch_dedup;
+    auto batched = ranker.Rank(samples, semantics, opts, nullptr, &batch_dedup);
+    ASSERT_TRUE(batched.ok()) << batched.status();
 
-      EXPECT_EQ(batch_dedup.unique_searches, distinct.size());
-      EXPECT_GT(batch_dedup.dedup_hits, 0u);  // The dup lanes above.
-      EXPECT_EQ(batched->any_truncated, scalar.any_truncated);
-      ASSERT_EQ(batched->packages.size(), scalar.packages.size())
-          << ranking::SemanticsName(semantics);
-      for (std::size_t i = 0; i < scalar.packages.size(); ++i) {
-        EXPECT_EQ(batched->packages[i].package, scalar.packages[i].package)
-            << ranking::SemanticsName(semantics) << " rank=" << i;
-        EXPECT_EQ(batched->packages[i].score, scalar.packages[i].score)
-            << ranking::SemanticsName(semantics) << " rank=" << i;
-      }
+    EXPECT_EQ(batch_dedup.unique_searches, distinct.size());
+    EXPECT_GT(batch_dedup.dedup_hits, 0u);  // The dup lanes above.
+    EXPECT_EQ(batched->any_truncated, scalar.any_truncated);
+    ASSERT_EQ(batched->packages.size(), scalar.packages.size())
+        << ranking::SemanticsName(semantics);
+    for (std::size_t i = 0; i < scalar.packages.size(); ++i) {
+      EXPECT_EQ(batched->packages[i].package, scalar.packages[i].package)
+          << ranking::SemanticsName(semantics) << " rank=" << i;
+      EXPECT_EQ(batched->packages[i].score, scalar.packages[i].score)
+          << ranking::SemanticsName(semantics) << " rank=" << i;
     }
   }
 }
 
 // Thread count must not change the batched output either: the chunk grid is
-// fixed by (unique samples, batch_width), so sharding it is order-free.
+// fixed by (unique samples, kMaxBatchLanes), so sharding it is order-free.
+// The pool spans three chunks, so four threads really split it.
 TEST(RankerBatchedEquivalenceTest, ParallelBatchedMatchesSerialBatched) {
   Rng rng(555);
   auto w = MakeWorkload(RandomTable(12, 2, 0.0, rng), "sum,min", 3);
   ranking::PackageRanker ranker(w.evaluator.get());
   std::vector<sampling::WeightedSample> samples;
-  for (int i = 0; i < 30; ++i) {
+  for (std::size_t i = 0; i < 2 * kMaxBatchLanes + 22; ++i) {
     sampling::WeightedSample s;
     s.w = RandomWeights(2, rng);
     s.id = static_cast<sampling::SampleId>(i);
@@ -461,7 +420,6 @@ TEST(RankerBatchedEquivalenceTest, ParallelBatchedMatchesSerialBatched) {
   }
   ranking::RankingOptions serial_opts;
   serial_opts.k = 3;
-  serial_opts.exec.batch_width = 8;
   ranking::RankingOptions parallel_opts = serial_opts;
   parallel_opts.exec.num_threads = 4;
   auto serial = ranker.ComputeSampleLists(samples, serial_opts);

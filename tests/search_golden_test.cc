@@ -1,11 +1,11 @@
 // Frozen golden corpus for the Top-k-Pkg search. Every case runs one pool of
-// weight vectors through SearchBatch (auto-dispatched and forced-scalar lane
-// kernels) and through per-lane Search, and folds each lane's full result —
-// packages, utility bit patterns, truncation flag, items_accessed,
-// packages_generated and expansions — into one 64-bit FNV-1a digest. All
-// three must equal the committed digest in search_golden_digests.inc, so any
-// change to either entry point that moves a result bit, a tie order or a
-// work counter fails here with the case label and the full result printed.
+// weight vectors through SearchBatch and through per-lane Search, and folds
+// each lane's full result — packages, utility bit patterns, truncation flag,
+// items_accessed, packages_generated and expansions — into one 64-bit
+// FNV-1a digest. Both must equal the committed digest in
+// search_golden_digests.inc, so any change to either entry point that moves
+// a result bit, a tie order or a work counter fails here with the case label
+// and the full result printed.
 //
 // The inputs are the search_batch_property_test sweeps: BatchEquivalenceSweep
 // (seeds × profiles × widths {1, 2, 7, 64} × limits × nulls), the
@@ -320,11 +320,6 @@ TEST(SearchGoldenTest, CorpusMatchesCommittedDigests) {
 
     auto batch = search.SearchBatch(ptrs, c.k, c.limits, c.filter);
     ASSERT_TRUE(batch.ok()) << c.label << ": " << batch.status();
-    ExecutionOptions scalar_exec;
-    scalar_exec.simd = SimdMode::kScalar;
-    auto batch_scalar = search.SearchBatch(ptrs, c.k, c.limits, c.filter,
-                                           nullptr, scalar_exec);
-    ASSERT_TRUE(batch_scalar.ok()) << c.label << ": " << batch_scalar.status();
     std::vector<SearchResult> single;
     for (const Vec& w : c.pool) {
       auto r = search.Search(w, c.k, c.limits, c.filter);
@@ -343,7 +338,6 @@ TEST(SearchGoldenTest, CorpusMatchesCommittedDigests) {
     }
     const std::pair<const char*, const std::vector<SearchResult>*> runs[] = {
         {"SearchBatch", &*batch},
-        {"SearchBatch(simd=scalar)", &*batch_scalar},
         {"Search", &single},
     };
     for (const auto& [entry, lanes] : runs) {

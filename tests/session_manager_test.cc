@@ -136,13 +136,18 @@ TEST_F(SessionManagerFixture, EvictHydrateCyclesAreBitIdentical) {
     }
 
     // Round-robin across sessions so a capacity-1 LRU thrashes maximally:
-    // every feedback must restore its session and checkpoint another.
+    // every feedback must restore its session and checkpoint another. At
+    // capacity 1 each feedback is awaited before the next is submitted —
+    // with a round's three in flight together, workers may run them in any
+    // order, and a session served last in one round and first in the next
+    // would still be resident. Capacity 8 keeps them concurrent.
     std::vector<std::vector<recsys::RoundLog>> got(3);
     for (int round = 0; round < kRounds; ++round) {
       std::vector<std::future<Result<recsys::RoundLog>>> futures;
       for (int s = 0; s < 3; ++s) {
         futures.push_back(handles[static_cast<std::size_t>(s)].Feedback(
             &users[s]));
+        if (capacity == 1) futures.back().wait();
       }
       for (int s = 0; s < 3; ++s) {
         auto log = futures[static_cast<std::size_t>(s)].get();

@@ -1,6 +1,5 @@
 // Unit tests for the portable SIMD layer (common/simd.h) and the batched
-// aggregate kernel suites built on it (model/aggregate_kernel_lanes.inc via
-// AggBatchKernelsFor).
+// aggregate kernel suites built on it (model/aggregate_kernel_lanes.inc).
 //
 // Two levels:
 //   1. Lane-op semantics — every vector backend this TU can instantiate
@@ -9,9 +8,9 @@
 //      including the NaN / signed-zero / infinity cases the header comment
 //      specifies (Max's first-operand-wins rule, CmpLE's quiet-ordered
 //      NaN→false, sign-bit MoveMask, GatherIdx as pure loads).
-//   2. Kernel suites — the runtime-dispatched suites (kAuto may be AVX2,
-//      SSE2 or scalar depending on machine; kScalar is the header
-//      reference) must reproduce the header-inlined reference kernels
+//   2. Kernel suites — every suite the library compiled (the baseline-ISA
+//      suite always; the AVX2 suite when it was built and this CPU runs it)
+//      must reproduce the header-inlined reference kernels
 //      bit-for-bit: dense dot + bound, the gather twins over sparse lane
 //      sets, tail widths that don't fill a vector register, widths past the
 //      64-lane fallback seam, the u0-seeded bound path, skip sets, and both
@@ -36,6 +35,14 @@
 #include "topkpkg/model/item_table.h"
 
 namespace topkpkg {
+
+// The baseline-ISA suite (aggregate_kernel_lanes_base.cc). Dispatch never
+// picks it on an AVX2 host, but pre-AVX2 x86-64 CPUs and every other target
+// run it, so the test reaches it by name.
+namespace model::lanes_base {
+extern const AggBatchKernels kKernels;
+}  // namespace model::lanes_base
+
 namespace {
 
 using model::AggBatchKernels;
@@ -390,23 +397,29 @@ void CheckSuiteAgainstReference(const AggBatchKernels& kern,
   }
 }
 
-TEST(AggBatchSuiteTest, ScalarSuiteIsTheReference) {
-  const AggBatchKernels& kern = AggBatchKernelsFor(SimdMode::kScalar);
-  EXPECT_STREQ(kern.backend, "scalar");
-  CheckSuiteAgainstReference(kern, "scalar");
+// Every suite compiled into the library: the baseline one, plus the
+// dispatched one when that differs (the AVX2 suite, built and supported).
+std::vector<const AggBatchKernels*> CompiledSuites() {
+  std::vector<const AggBatchKernels*> suites = {&model::lanes_base::kKernels};
+  const AggBatchKernels& dispatched = AggBatchKernelsFor();
+  if (&dispatched != suites[0]) suites.push_back(&dispatched);
+  return suites;
 }
 
-TEST(AggBatchSuiteTest, AutoSuiteMatchesReferenceBitForBit) {
-  // Whatever kAuto dispatched to on this machine — avx2, sse2 or scalar —
-  // it must be bit-identical to the reference kernels.
-  const AggBatchKernels& kern = AggBatchKernelsFor(SimdMode::kAuto);
-  SCOPED_TRACE(std::string("auto backend: ") + kern.backend);
-  CheckSuiteAgainstReference(kern, std::string("auto/") + kern.backend);
+TEST(AggBatchSuiteTest, BaselineSuiteRunsTheBaselineBackend) {
+  EXPECT_STREQ(model::lanes_base::kKernels.backend, simd::best::F64x::Name());
+}
+
+TEST(AggBatchSuiteTest, EveryCompiledSuiteMatchesReferenceBitForBit) {
+  for (const AggBatchKernels* kern : CompiledSuites()) {
+    SCOPED_TRACE(std::string("backend: ") + kern->backend);
+    CheckSuiteAgainstReference(*kern, kern->backend);
+  }
 }
 
 TEST(AggBatchSuiteTest, EverySuiteEntryIsPopulated) {
-  for (SimdMode mode : {SimdMode::kAuto, SimdMode::kScalar}) {
-    const AggBatchKernels& kern = AggBatchKernelsFor(mode);
+  for (const AggBatchKernels* suite : CompiledSuites()) {
+    const AggBatchKernels& kern = *suite;
     EXPECT_NE(kern.dot_batch, nullptr);
     EXPECT_NE(kern.tau_padded_bound_batch, nullptr);
     EXPECT_NE(kern.empty_tau_bound_batch, nullptr);

@@ -160,14 +160,13 @@ class RoundLogSpanFixture : public ::testing::Test {
         prob::GaussianMixture::Random(3, 2, 0.5, rng));
   }
 
-  recsys::RecommenderOptions Options(bool incremental) const {
+  recsys::RecommenderOptions Options() const {
     recsys::RecommenderOptions opts;
     opts.num_recommended = 3;
     opts.num_random = 3;
     opts.num_samples = 40;
     opts.ranking.k = 3;
     opts.ranking.sigma = 3;
-    opts.incremental = incremental;
     return opts;
   }
 
@@ -177,37 +176,11 @@ class RoundLogSpanFixture : public ::testing::Test {
   std::unique_ptr<prob::GaussianMixture> prior_;
 };
 
-TEST_F(RoundLogSpanFixture, FromScratchPhaseSecondsEqualSpanDurations) {
-  recsys::PackageRecommender rec(evaluator_.get(), prior_.get(),
-                                 Options(/*incremental=*/false), /*seed=*/11);
-  recsys::SimulatedUser user({0.8, 0.4, -0.2});
-  Tracer tracer(/*sample_every=*/1);
-  std::unique_ptr<TraceContext> ctx = tracer.StartTrace();
-  recsys::RoundLog log;
-  {
-    ScopedTraceBinding binding(ctx.get());
-    auto result = rec.RunRound(user);
-    ASSERT_TRUE(result.ok()) << result.status();
-    log = *result;
-  }
-  const SpanRecord* sample = FindSpan(*ctx, "sample");
-  const SpanRecord* rank = FindSpan(*ctx, "rank");
-  const SpanRecord* round = FindSpan(*ctx, "round");
-  ASSERT_NE(sample, nullptr);
-  ASSERT_NE(rank, nullptr);
-  ASSERT_NE(round, nullptr);
-  EXPECT_EQ(log.sample_seconds, static_cast<double>(sample->dur_ns) * 1e-9);
-  EXPECT_EQ(log.rank_seconds, static_cast<double>(rank->dur_ns) * 1e-9);
-  EXPECT_EQ(log.maintain_seconds, 0.0);  // From-scratch: no maintenance.
-  EXPECT_EQ(round->depth, 0);
-  EXPECT_EQ(sample->depth, 1);
-  EXPECT_EQ(rank->depth, 1);
-  EXPECT_GE(round->dur_ns, sample->dur_ns + rank->dur_ns);
-}
-
 TEST_F(RoundLogSpanFixture, IncrementalMaintainSecondsEqualSpanDuration) {
-  recsys::PackageRecommender rec(evaluator_.get(), prior_.get(),
-                                 Options(/*incremental=*/true), /*seed=*/13);
+  auto rec = std::move(recsys::PackageRecommender::Create(
+                           evaluator_.get(), prior_.get(), Options(),
+                           /*seed=*/13))
+                 .value();
   recsys::SimulatedUser user({0.8, 0.4, -0.2});
   Tracer tracer(/*sample_every=*/1);
 
@@ -215,13 +188,23 @@ TEST_F(RoundLogSpanFixture, IncrementalMaintainSecondsEqualSpanDuration) {
   {
     std::unique_ptr<TraceContext> ctx = tracer.StartTrace();
     ScopedTraceBinding binding(ctx.get());
-    auto r1 = rec.RunRound(user);
+    auto r1 = rec->RunRound(user);
     ASSERT_TRUE(r1.ok()) << r1.status();
     EXPECT_EQ(FindSpan(*ctx, "maintain"), nullptr);
+    EXPECT_EQ(r1->maintain_seconds, 0.0);
     const SpanRecord* sample = FindSpan(*ctx, "sample");
+    const SpanRecord* rank = FindSpan(*ctx, "rank");
+    const SpanRecord* round = FindSpan(*ctx, "round");
     ASSERT_NE(sample, nullptr);
+    ASSERT_NE(rank, nullptr);
+    ASSERT_NE(round, nullptr);
     EXPECT_EQ(r1->sample_seconds,
               static_cast<double>(sample->dur_ns) * 1e-9);
+    EXPECT_EQ(r1->rank_seconds, static_cast<double>(rank->dur_ns) * 1e-9);
+    EXPECT_EQ(round->depth, 0);
+    EXPECT_EQ(sample->depth, 1);
+    EXPECT_EQ(rank->depth, 1);
+    EXPECT_GE(round->dur_ns, sample->dur_ns + rank->dur_ns);
   }
 
   // Round 2 maintains it; only the importance sampler reweights, so with
@@ -230,7 +213,7 @@ TEST_F(RoundLogSpanFixture, IncrementalMaintainSecondsEqualSpanDuration) {
   recsys::RoundLog log;
   {
     ScopedTraceBinding binding(ctx.get());
-    auto r2 = rec.RunRound(user);
+    auto r2 = rec->RunRound(user);
     ASSERT_TRUE(r2.ok()) << r2.status();
     log = *r2;
   }
