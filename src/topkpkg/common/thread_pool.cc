@@ -1,18 +1,6 @@
 #include "topkpkg/common/thread_pool.h"
 
-#include <algorithm>
-#include <exception>
-
 namespace topkpkg {
-
-namespace {
-
-// The pool (if any) whose WorkerLoop the current thread is executing.
-// Worker threads run exactly one loop for their whole lifetime, so a plain
-// set-once thread_local suffices.
-thread_local const ThreadPool* tls_worker_pool = nullptr;
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
@@ -31,10 +19,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-bool ThreadPool::OnWorkerThread() const { return tls_worker_pool == this; }
-
 void ThreadPool::WorkerLoop() {
-  tls_worker_pool = this;
   while (true) {
     std::function<void()> task;
     {
@@ -48,71 +33,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();  // packaged_task captures any exception into the future.
   }
-}
-
-void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  ParallelFor(n, num_threads(), fn);
-}
-
-void ThreadPool::ParallelFor(std::size_t n, std::size_t max_blocks,
-                             const std::function<void(std::size_t)>& fn) {
-  ParallelForBlocks(n, max_blocks, [&fn](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
-  });
-}
-
-void ThreadPool::ParallelForBlocks(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  ParallelForBlocks(n, num_threads(), fn);
-}
-
-void ThreadPool::ParallelForBlocks(
-    std::size_t n, std::size_t max_blocks,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t num_blocks =
-      std::min(n, std::min(std::max<std::size_t>(1, max_blocks),
-                           num_threads()));
-  if (num_blocks <= 1) {
-    fn(0, n);
-    return;
-  }
-  if (OnWorkerThread()) {
-    // Nested use from inside a task: waiting on blocks queued behind the
-    // other tasks of a busy pool can deadlock, so run the *same* partition
-    // inline, sequentially. Per-block state (chunked RNG streams, scratch)
-    // sees identical (lo, hi) ranges, so results don't change.
-    const std::size_t block = (n + num_blocks - 1) / num_blocks;
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      const std::size_t lo = b * block;
-      const std::size_t hi = std::min(n, lo + block);
-      if (lo >= hi) break;
-      fn(lo, hi);
-    }
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_blocks);
-  // Contiguous blocks of size ceil(n / num_blocks), last one possibly short.
-  const std::size_t block = (n + num_blocks - 1) / num_blocks;
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    const std::size_t lo = b * block;
-    const std::size_t hi = std::min(n, lo + block);
-    if (lo >= hi) break;  // ceil-div can leave a trailing empty block.
-    futures.push_back(Submit([lo, hi, &fn]() { fn(lo, hi); }));
-  }
-  // Collect every block before rethrowing so no future outlives `fn`, then
-  // surface the lowest-index failure deterministically.
-  std::exception_ptr first_error;
-  for (std::future<void>& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 std::size_t ThreadPool::DefaultThreadCount() {

@@ -15,11 +15,11 @@
 namespace topkpkg {
 
 // Fixed-size worker pool with a single locked FIFO queue (deliberately
-// work-stealing-free: the parallel sampling workloads are pre-sharded into
-// near-equal chunks, so a shared queue is contention-light and keeps the
-// scheduling order deterministic enough to reason about). Tasks submitted
-// after construction run on one of `num_threads` workers; the destructor
-// drains every queued task and joins all workers, so a ThreadPool can be
+// work-stealing-free: its one library user, the SessionManager, submits one
+// drain task per session turn, so a shared queue is contention-light and
+// keeps the scheduling order easy to reason about). Tasks submitted after
+// construction run on one of `num_threads` workers; the destructor drains
+// every queued task and joins all workers, so a ThreadPool can be
 // destroyed at any time without losing submitted work.
 class ThreadPool {
  public:
@@ -48,44 +48,6 @@ class ThreadPool {
     cv_.notify_one();
     return future;
   }
-
-  // Runs fn(i) for every i in [0, n), sharded into one contiguous block per
-  // worker, and blocks until all blocks finish. If any invocation throws,
-  // the remaining blocks still run to completion and the exception of the
-  // lowest-index block is rethrown (deterministic error selection).
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  // Same, but with at most `max_blocks` blocks in flight. Callers that
-  // borrow a shared pool sized for another phase use this to keep honoring
-  // their own num_threads knob (the block partition — and hence any
-  // per-block state — depends only on min(n, workers, max_blocks), never on
-  // which worker runs a block).
-  void ParallelFor(std::size_t n, std::size_t max_blocks,
-                   const std::function<void(std::size_t)>& fn);
-
-  // Block-level flavor: runs fn(lo, hi) once per contiguous block of the
-  // partition of [0, n) that ParallelFor uses (one block per worker, sized
-  // ceil(n / workers)). For kernels that want per-block scratch state
-  // instead of a per-index callback. Same blocking and exception contract
-  // as ParallelFor.
-  void ParallelForBlocks(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
-  // Block-level flavor with a block-count cap; see the capped ParallelFor.
-  void ParallelForBlocks(
-      std::size_t n, std::size_t max_blocks,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
-  // True when the calling thread is one of this pool's workers. A
-  // ParallelFor/ParallelForBlocks issued from such a thread runs its blocks
-  // inline on the caller — same partition, sequential order — instead of
-  // re-submitting them: a worker blocking on futures served by its own
-  // (possibly fully busy) pool is a deadlock. This is what lets serving
-  // tasks that already run on the shared pool borrow it again for their
-  // inner phases; block partitions never depend on where blocks run, so
-  // results are identical.
-  bool OnWorkerThread() const;
 
   // std::thread::hardware_concurrency(), clamped to at least 1.
   static std::size_t DefaultThreadCount();

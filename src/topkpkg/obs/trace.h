@@ -9,11 +9,9 @@
 // Propagation is a thread_local pointer to the current context, installed
 // for the lifetime of one request's execution by ScopedTraceBinding on the
 // serving worker that runs it. Library code opens spans with ScopedSpan; if
-// no context is bound (direct library use, or work handed to an inner
-// thread pool whose workers never bound one), the span quietly measures
-// nothing extra and records nothing. Span recording therefore only ever
-// happens on the single thread that owns the request, so the context needs
-// no locking.
+// no context is bound (direct library use), the span quietly measures
+// nothing extra and records nothing. A request runs start to finish on the
+// worker that owns it, so span recording needs no locking.
 //
 // ScopedSpan is also the shared timing primitive for RoundLog's phase
 // seconds: Close() computes the duration once and both returns it (for the

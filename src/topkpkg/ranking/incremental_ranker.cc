@@ -77,8 +77,7 @@ Result<RankingResult> IncrementalRanker::Rank(const sampling::SamplePool& pool,
                                               const sampling::PoolDelta& delta,
                                               Semantics semantics,
                                               const RankingOptions& options,
-                                              IncrementalRankStats* stats,
-                                              ThreadPool* workers) {
+                                              IncrementalRankStats* stats) {
   IncrementalRankStats local;
 
   CacheKeyOptions key;
@@ -98,16 +97,16 @@ Result<RankingResult> IncrementalRanker::Rank(const sampling::SamplePool& pool,
 
   // Everything the cache doesn't cover — the delta's added samples plus, if
   // the cache was just invalidated, the whole pool — gets searched in one
-  // ComputeSampleLists call so it shares the dedup + parallel machinery.
+  // ComputeSampleLists call so it shares the dedup + batching machinery.
   std::vector<const sampling::WeightedSample*> missing;
   for (const auto& s : pool.samples()) {
     if (cache_.find(s.id) == cache_.end()) missing.push_back(&s);
   }
   if (!missing.empty()) {
     SearchDedupStats dedup;
-    TOPKPKG_ASSIGN_OR_RETURN(std::vector<SampleTopList> fresh,
-                             base_.ComputeSampleLists(missing, options,
-                                                      workers, &dedup));
+    TOPKPKG_ASSIGN_OR_RETURN(
+        std::vector<SampleTopList> fresh,
+        base_.ComputeSampleLists(missing, options, &dedup));
     for (std::size_t i = 0; i < missing.size(); ++i) {
       cache_[missing[i]->id] = std::move(fresh[i]);
     }

@@ -45,16 +45,13 @@ class IncrementalRanker {
   // Ranks the whole pool. `delta` is the mutation that produced the pool's
   // current state: its removed_ids are evicted, and any pool sample without
   // a cache entry (the delta's added samples, or everything after an
-  // invalidation) is searched via the same deduplicated, optionally
-  // num_threads-parallel path PackageRanker uses. `workers`, when non-null,
-  // is a caller-owned pool those searches run on (no spawn/join per round).
-  // Neither thread count nor pool ownership ever changes the output.
+  // invalidation) is searched via the same deduplicated, batched path
+  // PackageRanker uses.
   Result<RankingResult> Rank(const sampling::SamplePool& pool,
                              const sampling::PoolDelta& delta,
                              Semantics semantics,
                              const RankingOptions& options,
-                             IncrementalRankStats* stats = nullptr,
-                             ThreadPool* workers = nullptr);
+                             IncrementalRankStats* stats = nullptr);
 
   // Clears the TopListCache and bumps the epoch. Call when the package
   // filter's behavior (not just presence) changes.

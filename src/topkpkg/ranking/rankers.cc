@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "topkpkg/common/thread_pool.h"
 #include "topkpkg/obs/metrics.h"
 
 namespace topkpkg::ranking {
@@ -61,18 +60,16 @@ const char* SemanticsName(Semantics s) {
 
 Result<std::vector<SampleTopList>> PackageRanker::ComputeSampleLists(
     const std::vector<sampling::WeightedSample>& samples,
-    const RankingOptions& options, ThreadPool* workers,
-    SearchDedupStats* dedup) const {
+    const RankingOptions& options, SearchDedupStats* dedup) const {
   std::vector<const sampling::WeightedSample*> ptrs;
   ptrs.reserve(samples.size());
   for (const auto& s : samples) ptrs.push_back(&s);
-  return ComputeSampleLists(ptrs, options, workers, dedup);
+  return ComputeSampleLists(ptrs, options, dedup);
 }
 
 Result<std::vector<SampleTopList>> PackageRanker::ComputeSampleLists(
     const std::vector<const sampling::WeightedSample*>& samples,
-    const RankingOptions& options, ThreadPool* workers,
-    SearchDedupStats* dedup) const {
+    const RankingOptions& options, SearchDedupStats* dedup) const {
   const std::size_t list_size = std::max(options.k, options.sigma);
   const topk::TopKPkgSearch::PackageFilter* filter =
       options.package_filter ? &options.package_filter : nullptr;
@@ -100,14 +97,12 @@ Result<std::vector<SampleTopList>> PackageRanker::ComputeSampleLists(
   m.unique_searches->Increment(unique_samples.size());
   m.dedup_hits->Increment(samples.size() - unique_samples.size());
 
-  // The unit of sharded work: one SearchBatch call per chunk of
-  // kMaxBatchLanes signature-sorted unique samples, one shared walk's worth.
-  // Sorting keeps chunks homogeneous — a SearchBatch call walks once per
-  // distinct access signature it receives, so mixing signatures in one chunk
-  // forfeits the sharing. SearchBatch is const over shared immutable state,
-  // so the only writes per task are its own result slots; thread count and
-  // chunking never change the output (every lane is bit-identical to
-  // Search).
+  // One SearchBatch call per chunk of kMaxBatchLanes signature-sorted
+  // unique samples, one shared walk's worth. Sorting keeps chunks
+  // homogeneous — a SearchBatch call walks once per distinct access
+  // signature it receives, so mixing signatures in one chunk forfeits the
+  // sharing. Chunking never changes the output (every lane is bit-identical
+  // to Search).
   std::vector<Result<topk::SearchResult>> searched(
       unique_samples.size(), Status::Internal("search not run"));
   constexpr std::size_t width = topk::kMaxBatchLanes;
@@ -122,9 +117,7 @@ Result<std::vector<SampleTopList>> PackageRanker::ComputeSampleLists(
                    [&](std::size_t a, std::size_t c) {
                      return sigs[a] < sigs[c];
                    });
-  const std::size_t num_tasks = (batch_order.size() + width - 1) / width;
-  auto run_task = [&](std::size_t c) {
-    const std::size_t begin = c * width;
+  for (std::size_t begin = 0; begin < batch_order.size(); begin += width) {
     const std::size_t end = std::min(begin + width, batch_order.size());
     std::vector<const Vec*> ws;
     ws.reserve(end - begin);
@@ -139,18 +132,6 @@ Result<std::vector<SampleTopList>> PackageRanker::ComputeSampleLists(
         searched[batch_order[i]] = batch.status();
       }
     }
-  };
-  if (workers == nullptr) workers = options.exec.pool;
-  if (options.exec.num_threads <= 1 || num_tasks <= 1) {
-    for (std::size_t t = 0; t < num_tasks; ++t) run_task(t);
-  } else if (workers != nullptr) {
-    // Caller-owned pool: no spawn/join per call, and the workers' warm
-    // thread_local scratch arenas are reused across rounds. The pool may be
-    // sized for another phase, so cap at this call's own knob.
-    workers->ParallelFor(num_tasks, options.exec.num_threads, run_task);
-  } else {
-    ThreadPool pool(std::min(options.exec.num_threads, num_tasks));
-    pool.ParallelFor(num_tasks, run_task);
   }
 
   // Each unique result's package list is moved out at its last use and
@@ -212,7 +193,9 @@ RankingResult PackageRanker::Aggregate(
       // samples where a package appears in the top list — is biased toward
       // packages that appear rarely but luckily; computing w̄·p̂ over the
       // candidate union (plus the top list under w̄ itself, so the true EXP
-      // winner cannot be missed) avoids that bias at the same cost.
+      // winner cannot be missed) avoids that bias at the same cost. That
+      // search takes the package filter like the per-sample ones, so every
+      // candidate has passed it.
       Vec mean_w(lists[0]->w.size(), 0.0);
       for (const SampleTopList* l : lists) {
         for (std::size_t f = 0; f < mean_w.size(); ++f) {
@@ -228,7 +211,10 @@ RankingResult PackageRanker::Aggregate(
           candidates.emplace(l->packages[i].package, 0.0);
         }
       }
-      auto mean_top = search_.Search(mean_w, options.k, options.limits);
+      const topk::TopKPkgSearch::PackageFilter* filter =
+          options.package_filter ? &options.package_filter : nullptr;
+      auto mean_top =
+          search_.Search(mean_w, options.k, options.limits, filter);
       if (mean_top.ok()) {
         for (const auto& sp : mean_top->packages) {
           candidates.emplace(sp.package, 0.0);
@@ -303,11 +289,9 @@ RankingResult PackageRanker::Aggregate(
 
 Result<RankingResult> PackageRanker::Rank(
     const std::vector<sampling::WeightedSample>& samples, Semantics semantics,
-    const RankingOptions& options, ThreadPool* workers,
-    SearchDedupStats* dedup) const {
-  TOPKPKG_ASSIGN_OR_RETURN(
-      std::vector<SampleTopList> lists,
-      ComputeSampleLists(samples, options, workers, dedup));
+    const RankingOptions& options, SearchDedupStats* dedup) const {
+  TOPKPKG_ASSIGN_OR_RETURN(std::vector<SampleTopList> lists,
+                           ComputeSampleLists(samples, options, dedup));
   return Aggregate(lists, semantics, options);
 }
 

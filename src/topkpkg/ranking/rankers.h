@@ -5,15 +5,10 @@
 #include <string>
 #include <vector>
 
-#include "topkpkg/common/execution_options.h"
 #include "topkpkg/common/status.h"
 #include "topkpkg/model/package.h"
 #include "topkpkg/sampling/sample.h"
 #include "topkpkg/topk/topk_pkg.h"
-
-namespace topkpkg {
-class ThreadPool;
-}
 
 namespace topkpkg::ranking {
 
@@ -30,14 +25,10 @@ struct RankingOptions {
   std::size_t k = 5;      // Result list length.
   std::size_t sigma = 5;  // TKP's "top-σ positions" threshold.
   topk::SearchLimits limits;
-  // Optional Sec. 7 schema predicate applied inside every per-sample search
-  // (failing packages are still expanded but never ranked).
+  // Optional Sec. 7 schema predicate applied inside every search, the
+  // per-sample ones and EXP's search under the mean weight vector (failing
+  // packages are still expanded but never ranked).
   topk::TopKPkgSearch::PackageFilter package_filter;
-  // Execution seam for the per-sample Top-k-Pkg searches (each sample's
-  // search is independent; TopKPkgSearch::Search is const and shares only
-  // the pre-sorted lists). exec.num_threads == 1 = serial; any value yields
-  // identical lists.
-  ExecutionOptions exec;
 };
 
 // The unique-weight dedup outcome of one ComputeSampleLists call. MCMC pools
@@ -86,14 +77,11 @@ class PackageRanker {
   // unique weight vectors are sorted by access signature, chunked into
   // topk::kMaxBatchLanes lanes, and each chunk goes through one
   // TopKPkgSearch::SearchBatch call (bit-identical per sample to Search).
-  // `workers`, when non-null, is a caller-owned pool the searches shard
-  // onto (falling back to options.exec.pool, then to a spawn-per-call pool
-  // when options.exec.num_threads > 1); thread count and pool ownership
-  // never change the output. `dedup`, when non-null, receives the
-  // unique-weight memo's hit statistics.
+  // `dedup`, when non-null, receives the unique-weight memo's hit
+  // statistics.
   Result<std::vector<SampleTopList>> ComputeSampleLists(
       const std::vector<sampling::WeightedSample>& samples,
-      const RankingOptions& options, ThreadPool* workers = nullptr,
+      const RankingOptions& options,
       SearchDedupStats* dedup = nullptr) const;
 
   // Same search over non-owning pointers (entries must be non-null), so
@@ -101,7 +89,7 @@ class PackageRanker {
   // cache-missing samples) don't copy the weight vectors first.
   Result<std::vector<SampleTopList>> ComputeSampleLists(
       const std::vector<const sampling::WeightedSample*>& samples,
-      const RankingOptions& options, ThreadPool* workers = nullptr,
+      const RankingOptions& options,
       SearchDedupStats* dedup = nullptr) const;
 
   // Pure aggregation of precomputed lists (Sec. 4's EXP/TKP/MPO logic).
@@ -120,7 +108,7 @@ class PackageRanker {
   Result<RankingResult> Rank(
       const std::vector<sampling::WeightedSample>& samples,
       Semantics semantics, const RankingOptions& options,
-      ThreadPool* workers = nullptr, SearchDedupStats* dedup = nullptr) const;
+      SearchDedupStats* dedup = nullptr) const;
 
  private:
   const model::PackageEvaluator* evaluator_;

@@ -7,30 +7,12 @@
 #include "topkpkg/obs/metrics.h"
 #include "topkpkg/obs/trace.h"
 #include "topkpkg/pref/preference.h"
-#include "topkpkg/sampling/parallel_sampler.h"
 #include "topkpkg/storage/codec.h"
 #include "topkpkg/storage/session_store.h"
 
 namespace topkpkg::recsys {
 
 namespace {
-
-// Shards `sampler`'s draw across SamplerOptions::exec.num_threads workers
-// borrowed from `workers`; `seed` feeds the deterministic per-chunk RNG
-// streams.
-template <typename Sampler>
-Result<std::vector<sampling::WeightedSample>> DrawSharded(
-    const Sampler& sampler, std::size_t n, std::size_t num_threads,
-    uint64_t seed, sampling::SampleStats* stats, ThreadPool* workers) {
-  sampling::ParallelSamplerOptions popts;
-  popts.num_threads = num_threads;
-  sampling::ParallelSampler parallel(
-      [&sampler](std::size_t count, Rng& rng, sampling::SampleStats* st) {
-        return sampler.Draw(count, rng, st);
-      },
-      popts);
-  return parallel.Draw(n, seed, stats, workers);
-}
 
 // Round-level registry handles. Phase histograms share one family keyed by
 // a phase label so a scrape shows the round's time budget side by side.
@@ -170,32 +152,14 @@ Result<std::unique_ptr<PackageRecommender>> PackageRecommender::Create(
       new PackageRecommender(evaluator, prior, std::move(options), seed));
 }
 
-ThreadPool* PackageRecommender::Workers() {
-  if (options_.exec.pool != nullptr) return options_.exec.pool;
-  std::size_t threads = options_.exec.num_threads;
-  if (threads == 0) {
-    threads = std::max(options_.sampler_base.exec.num_threads,
-                       options_.ranking.exec.num_threads);
-  }
-  if (threads <= 1) return nullptr;
-  if (workers_ == nullptr) workers_ = std::make_unique<ThreadPool>(threads);
-  return workers_.get();
-}
-
 Result<std::vector<sampling::WeightedSample>> PackageRecommender::DrawSamples(
     const sampling::ConstraintChecker& checker, std::size_t n,
     sampling::SampleStats* stats) {
-  // exec.num_threads == 1 draws straight from rng_, bit-identical to the
-  // classic serial path; > 1 consumes one value from rng_ as the base seed
-  // of the sharded draw (reproducible for a fixed recommender seed).
-  const std::size_t threads = options_.sampler_base.exec.num_threads;
   switch (options_.sampler) {
     case SamplerKind::kRejection: {
       sampling::RejectionSampler sampler(prior_, &checker,
                                          options_.sampler_base);
-      if (threads <= 1) return sampler.Draw(n, rng_, stats);
-      return DrawSharded(sampler, n, threads, rng_.engine()(), stats,
-                         Workers());
+      return sampler.Draw(n, rng_, stats);
     }
     case SamplerKind::kImportance: {
       sampling::ImportanceSamplerOptions opts = options_.importance;
@@ -209,17 +173,13 @@ Result<std::vector<sampling::WeightedSample>> PackageRecommender::DrawSamples(
       // fallback path re-enters here with the unconstrained checker and
       // overwrites it with the sampler of whichever draw actually ran last.
       round_is_sampler_ = std::move(sampler);
-      if (threads <= 1) return round_is_sampler_->Draw(n, rng_, stats);
-      return DrawSharded(*round_is_sampler_, n, threads, rng_.engine()(),
-                         stats, Workers());
+      return round_is_sampler_->Draw(n, rng_, stats);
     }
     case SamplerKind::kMcmc: {
       sampling::McmcSamplerOptions opts = options_.mcmc;
       opts.base = options_.sampler_base;
       sampling::McmcSampler sampler(prior_, &checker, opts);
-      if (threads <= 1) return sampler.Draw(n, rng_, stats);
-      return DrawSharded(sampler, n, threads, rng_.engine()(), stats,
-                         Workers());
+      return sampler.Draw(n, rng_, stats);
     }
   }
   return Status::InvalidArgument("PackageRecommender: unknown sampler kind");
@@ -336,7 +296,7 @@ Result<ranking::RankingResult> PackageRecommender::RankIncremental(
       // pool self-healing when unconstrained fallback draws (or a psi
       // change) left samples that violate older constraints.
       std::vector<std::uint8_t> valid = checker.IsValidBatch(
-          pool_.batch(), Workers(), &log->sampling_stats.constraint_checks);
+          pool_.batch(), &log->sampling_stats.constraint_checks);
       for (std::size_t i = 0; i < valid.size(); ++i) {
         if (!valid[i]) violators.push_back(i);
       }
@@ -435,8 +395,7 @@ Result<ranking::RankingResult> PackageRecommender::RankIncremental(
   obs::ScopedSpan rank_span("rank");
   ranking::IncrementalRankStats rstats;
   Result<ranking::RankingResult> ranked =
-      ranker_.Rank(pool_, delta, options_.semantics, ropts, &rstats,
-                   Workers());
+      ranker_.Rank(pool_, delta, options_.semantics, ropts, &rstats);
   log->rank_seconds = rank_span.Close();
   log->searches_skipped = rstats.searches_skipped;
   log->searches_deduped = rstats.searches_deduped;
@@ -472,13 +431,10 @@ Result<RoundLog> PackageRecommender::RunRound(const SimulatedUser& user) {
   }
   m.phase_rank->Observe(log.rank_seconds);
 
+  // Every ranked package already passed options_.package_filter inside
+  // the searches (ropts carries it), under every semantics.
   std::vector<model::Package> top_k;
-  for (const auto& rp : ranked.packages) {
-    if (options_.package_filter && !options_.package_filter(rp.package)) {
-      continue;
-    }
-    top_k.push_back(rp.package);
-  }
+  for (const auto& rp : ranked.packages) top_k.push_back(rp.package);
   log.top_k_overlap = TopKOverlap(current_top_k_, top_k);
   log.top_k_changed = log.top_k_overlap < 1.0;
   current_top_k_ = top_k;
@@ -571,18 +527,11 @@ std::string PackageRecommender::ConfigFingerprint() const {
   f += ";k=" + std::to_string(options_.ranking.k);
   f += ";sigma=" + std::to_string(options_.ranking.sigma);
   f += ";psi=" + std::to_string(options_.sampler_base.noise.psi);
-  // Constraint pruning and the incremental engine were once options; they
-  // are always on now, and stay in the fingerprint so checkpoints written
-  // while they were configurable still restore.
-  f += ";prune=1;incremental=1";
-  // Draw parallelism selects serial-stream vs sharded-stream sampling,
-  // which is a semantic property of the session's RNG consumption — a host
-  // on the other mode would silently diverge from the checkpointed
-  // trajectory. The worker *count* is absent on purpose: sharded output
-  // depends only on (seed, chunk_size), and ranking parallelism never
-  // changes results at all.
-  f += ";sharded_draw=" +
-       std::to_string(options_.sampler_base.exec.num_threads > 1 ? 1 : 0);
+  // Constraint pruning, the incremental engine and sharded (per-chunk RNG
+  // stream) draws were once options; the first two are always on and draws
+  // always take the serial stream now. They stay in the fingerprint so
+  // checkpoints written while they were configurable still restore.
+  f += ";prune=1;incremental=1;sharded_draw=0";
   return f;
 }
 
@@ -707,6 +656,25 @@ Status PackageRecommender::Restore(const storage::SessionStore& store,
                            unwrap(storage::kKindSamplePool, "sample-pool"));
   TOPKPKG_ASSIGN_OR_RETURN(sampling::SamplePool pool,
                            storage::DecodeSamplePool(pool_bytes));
+  // The codecs cannot know the prior's dimension, so vector lengths are
+  // checked here: a wrong-length vector would make the next round read
+  // past a buffer in the pool's constraint scan or a preference dot product.
+  auto wrong_dim = [&](const char* what, std::size_t got) {
+    return Status::FailedPrecondition(
+        std::string("PackageRecommender::Restore: ") + what +
+        " record holds a vector of length " + std::to_string(got) +
+        " but the prior has dimension " + std::to_string(prior_->dim()));
+  };
+  for (const Vec& v : feedback.node_vectors()) {
+    if (v.size() != prior_->dim()) {
+      return wrong_dim("preference-set", v.size());
+    }
+  }
+  for (const sampling::WeightedSample& s : pool.samples()) {
+    if (s.w.size() != prior_->dim()) {
+      return wrong_dim("sample-pool", s.w.size());
+    }
+  }
   TOPKPKG_ASSIGN_OR_RETURN(
       std::string cache_bytes,
       unwrap(storage::kKindTopListCache, "top-list-cache"));

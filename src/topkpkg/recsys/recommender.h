@@ -10,10 +10,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "topkpkg/common/execution_options.h"
 #include "topkpkg/common/random.h"
 #include "topkpkg/common/status.h"
-#include "topkpkg/common/thread_pool.h"
 #include "topkpkg/model/package.h"
 #include "topkpkg/pref/preference_set.h"
 #include "topkpkg/prob/gaussian_mixture.h"
@@ -50,12 +48,6 @@ struct RecommenderOptions {
   sampling::ImportanceSamplerOptions importance;
   // Optional Sec. 7 schema predicate applied to recommended packages.
   topk::TopKPkgSearch::PackageFilter package_filter;
-  // Recommender-level execution seam. exec.pool, when set, is the shared
-  // caller-owned pool every phase borrows (the SessionManager injects its
-  // one pool here so N sessions never spawn N pools); phases still honor
-  // their own exec.num_threads caps. exec.num_threads == 0 (the default)
-  // derives the owned-pool size from the phase knobs as before.
-  ExecutionOptions exec{/*num_threads=*/0, /*pool=*/nullptr};
 };
 
 // One elicitation round's record.
@@ -108,7 +100,7 @@ class PackageRecommender {
   // The one construction path: validates `options` (and the evaluator /
   // prior wiring) and returns InvalidArgument naming the offending field
   // instead of asserting or misbehaving later. `evaluator` and `prior` must
-  // outlive the recommender; so must `options.exec.pool` when set.
+  // outlive the recommender.
   static Result<std::unique_ptr<PackageRecommender>> Create(
       const model::PackageEvaluator* evaluator,
       const prob::GaussianMixture* prior, RecommenderOptions options,
@@ -182,15 +174,6 @@ class PackageRecommender {
       const sampling::ConstraintChecker& checker,
       const ranking::RankingOptions& ropts, RoundLog* log);
 
-  // The recommender's worker pool: options.exec.pool when the caller
-  // injected a shared one (the SessionManager seam), else a pool created
-  // lazily on first use and kept for the recommender's lifetime; sample
-  // draws, per-sample searches and the batched violator scan all borrow it,
-  // so incremental rounds stop paying a pool spawn/join per phase. Returns
-  // nullptr (= run serial) when no pool is injected and every
-  // exec.num_threads knob is 1.
-  ThreadPool* Workers();
-
   // Compact fingerprint of the construction-time configuration, stamped
   // into checkpoints so Restore can reject a differently-configured host.
   std::string ConfigFingerprint() const;
@@ -208,7 +191,6 @@ class PackageRecommender {
   // ranker holding the SampleId-keyed top-list cache.
   sampling::SamplePool pool_;
   ranking::IncrementalRanker ranker_;
-  std::unique_ptr<ThreadPool> workers_;
   // The ImportanceSampler the current round's draw built (reset per round).
   // Survivor reweighting reuses it instead of re-running Create()'s grid
   // decomposition — the round's replacement draw already paid that cost and

@@ -1,10 +1,8 @@
 #include "topkpkg/sampling/constraint_checker.h"
 
-#include <atomic>
 #include <numeric>
 #include <utility>
 
-#include "topkpkg/common/thread_pool.h"
 #include "topkpkg/model/aggregate_kernel.h"
 
 namespace topkpkg::sampling {
@@ -27,14 +25,16 @@ std::size_t ConstraintChecker::Violations(const Vec& w,
   return violations;
 }
 
-void ConstraintChecker::ScanRange(const WeightBatch& batch, std::size_t lo,
-                                  std::size_t hi, std::uint8_t* valid,
-                                  std::size_t* checks) const {
+std::vector<std::uint8_t> ConstraintChecker::IsValidBatch(
+    const WeightBatch& batch, std::size_t* checks) const {
+  const std::size_t n = batch.size();
+  std::vector<std::uint8_t> valid(n, 1);
+  if (n == 0 || constraints_.empty()) return valid;
   // Active-set scan: samples stay in play until their first violation. The
   // per-sample accumulation visits features in ascending order exactly like
   // Dot(), so the verdicts are bit-identical to IsValid()'s.
-  std::vector<std::uint32_t> active(hi - lo);
-  std::iota(active.begin(), active.end(), static_cast<std::uint32_t>(lo));
+  std::vector<std::uint32_t> active(n);
+  std::iota(active.begin(), active.end(), 0u);
   std::vector<double> acc;
   for (const pref::Preference& p : constraints_) {
     if (active.empty()) break;
@@ -57,40 +57,6 @@ void ConstraintChecker::ScanRange(const WeightBatch& batch, std::size_t lo,
       }
     }
     active.resize(write);
-  }
-}
-
-std::vector<std::uint8_t> ConstraintChecker::IsValidBatch(
-    const WeightBatch& batch, std::size_t* checks) const {
-  const std::size_t n = batch.size();
-  std::vector<std::uint8_t> valid(n, 1);
-  if (n == 0 || constraints_.empty()) return valid;
-  ScanRange(batch, 0, n, valid.data(), checks);
-  return valid;
-}
-
-std::vector<std::uint8_t> ConstraintChecker::IsValidBatch(
-    const WeightBatch& batch, ThreadPool* workers,
-    std::size_t* checks) const {
-  const std::size_t n = batch.size();
-  // Below ~4k samples the shard setup costs more than the scan saves.
-  constexpr std::size_t kMinParallelBatch = 4096;
-  if (workers == nullptr || workers->num_threads() <= 1 ||
-      n < kMinParallelBatch || constraints_.empty()) {
-    return IsValidBatch(batch, checks);
-  }
-  std::vector<std::uint8_t> valid(n, 1);
-  // One check counter per block, summed afterwards: each sample's scan is
-  // independent, so the total matches the serial scan exactly.
-  std::vector<std::size_t> block_checks(workers->num_threads(), 0);
-  std::atomic<std::size_t> next_block{0};
-  workers->ParallelForBlocks(n, [&](std::size_t lo, std::size_t hi) {
-    const std::size_t slot = next_block.fetch_add(1);
-    ScanRange(batch, lo, hi, valid.data(),
-              checks != nullptr ? &block_checks[slot] : nullptr);
-  });
-  if (checks != nullptr) {
-    for (std::size_t c : block_checks) *checks += c;
   }
   return valid;
 }

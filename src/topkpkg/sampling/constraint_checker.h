@@ -14,10 +14,6 @@
 #include "topkpkg/pref/preference_set.h"
 #include "topkpkg/sampling/sample.h"
 
-namespace topkpkg {
-class ThreadPool;
-}
-
 namespace topkpkg::sampling {
 
 // Validates candidate weight vectors against the elicited preference
@@ -62,19 +58,7 @@ class ConstraintChecker {
   std::vector<std::uint8_t> IsValidBatch(const WeightBatch& batch,
                                          std::size_t* checks = nullptr) const;
 
-  // Same verdicts and check count, sharded into contiguous sample ranges on
-  // a caller-owned pool (each sample's verdict and check count are
-  // independent of the others, so sharding changes neither). Falls back to
-  // the serial scan when `workers` is null or the batch is small.
-  std::vector<std::uint8_t> IsValidBatch(const WeightBatch& batch,
-                                         ThreadPool* workers,
-                                         std::size_t* checks = nullptr) const;
-
  private:
-  // The active-set scan of IsValidBatch restricted to samples [lo, hi).
-  void ScanRange(const WeightBatch& batch, std::size_t lo, std::size_t hi,
-                 std::uint8_t* valid, std::size_t* checks) const;
-
   std::vector<pref::Preference> constraints_;
 };
 

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "topkpkg/common/execution_options.h"
 #include "topkpkg/common/random.h"
 #include "topkpkg/common/status.h"
 #include "topkpkg/pref/preference.h"
@@ -24,12 +23,6 @@ struct SamplerOptions {
   std::size_t max_attempts_per_sample = 200000;
   // Sec. 7 noise model; psi = 1 keeps constraints hard.
   pref::NoiseModel noise;
-  // Execution seam for pool regeneration (see ParallelSampler).
-  // exec.num_threads == 1 keeps the classic single-stream serial path,
-  // bit-identical to prior releases; > 1 shards the draw into deterministic
-  // per-chunk RNG streams, so results are reproducible for a fixed seed but
-  // differ from the serial stream.
-  ExecutionOptions exec;
 };
 
 // Sec. 3.1: sample w from the prior P_w, reject any sample violating the

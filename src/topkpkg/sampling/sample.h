@@ -67,9 +67,7 @@ class WeightBatch {
 };
 
 // Bookkeeping reported by the samplers; benches print these to reproduce the
-// acceptance-rate story of Fig. 4 and the timing curves of Fig. 6. When
-// sampling runs sharded across workers, `seconds` accumulates per-worker
-// time and therefore reports CPU-seconds, not wall-clock.
+// acceptance-rate story of Fig. 4 and the timing curves of Fig. 6.
 struct SampleStats {
   std::size_t proposed = 0;             // Raw proposals drawn.
   std::size_t accepted = 0;             // Samples returned.
@@ -83,17 +81,6 @@ struct SampleStats {
     return proposed == 0 ? 0.0
                          : static_cast<double>(accepted) /
                                static_cast<double>(proposed);
-  }
-
-  // Accumulates another shard's counters into this one.
-  void Merge(const SampleStats& other) {
-    proposed += other.proposed;
-    accepted += other.accepted;
-    rejected_constraint += other.rejected_constraint;
-    rejected_box += other.rejected_box;
-    rejected_mh += other.rejected_mh;
-    constraint_checks += other.constraint_checks;
-    seconds += other.seconds;
   }
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 
 namespace topkpkg::sampling {
 
@@ -125,44 +123,6 @@ const char* MaintenanceStrategyName(MaintenanceStrategy s) {
       return "hybrid";
   }
   return "?";
-}
-
-MaintenanceResult FindViolatorsParallel(const SamplePool& pool,
-                                        const pref::Preference& pref,
-                                        ThreadPool& threads) {
-  const Vec query = QueryVector(pref);
-  const WeightBatch& batch = pool.batch();
-  const std::size_t n = batch.size();
-  MaintenanceResult result;
-  result.accesses = n;
-  if (n == 0) return result;
-
-  // One contiguous block per worker; each sweeps its index range
-  // feature-outer over the batch columns and collects local violators
-  // (already ascending). Keyed by `lo` so the merge is in index order no
-  // matter which worker ran which block.
-  std::map<std::size_t, std::vector<std::size_t>> block_violators;
-  std::mutex mu;
-  threads.ParallelForBlocks(n, [&](std::size_t lo, std::size_t hi) {
-    std::vector<double> acc(hi - lo, 0.0);
-    for (std::size_t f = 0; f < query.size(); ++f) {
-      const double q = query[f];
-      if (q == 0.0) continue;
-      const double* col = batch.column(f) + lo;
-      for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += q * col[i];
-    }
-    std::vector<std::size_t> violators;
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      if (acc[i] > kEps) violators.push_back(lo + i);
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    block_violators.emplace(lo, std::move(violators));
-  });
-  for (auto& [lo, violators] : block_violators) {
-    result.violators.insert(result.violators.end(), violators.begin(),
-                            violators.end());
-  }
-  return result;
 }
 
 MaintenanceResult FindViolators(const SamplePool& pool,

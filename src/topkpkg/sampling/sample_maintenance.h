@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "topkpkg/common/thread_pool.h"
 #include "topkpkg/pref/preference.h"
 #include "topkpkg/sampling/sample_pool.h"
 
@@ -44,16 +43,6 @@ MaintenanceResult FindViolators(const SamplePool& pool,
                                 const pref::Preference& pref,
                                 MaintenanceStrategy strategy,
                                 double gamma = 0.025);
-
-// Parallel flavor of the naive scan: shards the pool's struct-of-arrays
-// batch view across `threads` and sweeps each shard's columns. Returns the
-// same violator set as kNaive (ascending order); accesses is always |S|.
-// Wins over TA/hybrid when many samples violate — the regime right after an
-// informative preference lands — while staying embarrassingly parallel.
-// `pool` must not be mutated during the call.
-MaintenanceResult FindViolatorsParallel(const SamplePool& pool,
-                                        const pref::Preference& pref,
-                                        ThreadPool& threads);
 
 }  // namespace topkpkg::sampling
 

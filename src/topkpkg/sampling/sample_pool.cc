@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "topkpkg/common/thread_pool.h"
-
 namespace topkpkg::sampling {
 
 namespace {
@@ -100,31 +98,17 @@ PoolDelta SamplePool::Replace(std::vector<std::size_t> indices,
   return delta;
 }
 
-void SamplePool::BuildList(std::size_t f) const {
-  SortedList& list = sorted_lists_[f];
-  list.clear();
-  list.reserve(samples_.size());
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    list.emplace_back(samples_[i].w[f], static_cast<std::uint32_t>(i));
-  }
-  std::sort(list.begin(), list.end());
-}
-
 const std::vector<SamplePool::SortedList>& SamplePool::sorted_lists() const {
   if (lists_dirty_) {
     sorted_lists_.assign(dim(), {});
-    for (std::size_t f = 0; f < sorted_lists_.size(); ++f) BuildList(f);
-    lists_dirty_ = false;
-  }
-  return sorted_lists_;
-}
-
-const std::vector<SamplePool::SortedList>& SamplePool::sorted_lists_parallel(
-    ThreadPool& threads) const {
-  if (lists_dirty_) {
-    sorted_lists_.assign(dim(), {});
-    threads.ParallelFor(sorted_lists_.size(),
-                        [this](std::size_t f) { BuildList(f); });
+    for (std::size_t f = 0; f < sorted_lists_.size(); ++f) {
+      SortedList& list = sorted_lists_[f];
+      list.reserve(samples_.size());
+      for (std::size_t i = 0; i < samples_.size(); ++i) {
+        list.emplace_back(samples_[i].w[f], static_cast<std::uint32_t>(i));
+      }
+      std::sort(list.begin(), list.end());
+    }
     lists_dirty_ = false;
   }
   return sorted_lists_;

@@ -10,10 +10,6 @@
 #include "topkpkg/common/vec.h"
 #include "topkpkg/sampling/sample.h"
 
-namespace topkpkg {
-class ThreadPool;
-}
-
 namespace topkpkg::sampling {
 
 // What one pool mutation did, in terms of stable SampleIds. Downstream
@@ -78,15 +74,10 @@ class SamplePool {
   using SortedList = std::vector<std::pair<double, std::uint32_t>>;
   const std::vector<SortedList>& sorted_lists() const;
 
-  // Same lists, but rebuilt (when dirty) with one sort task per coordinate
-  // on `threads` — the parallel half of the Sec. 3.4 maintenance step. The
-  // result is identical to sorted_lists(); only the rebuild wall-clock
-  // changes. Not safe to call concurrently with other pool methods.
-  const std::vector<SortedList>& sorted_lists_parallel(ThreadPool& threads) const;
-
   // Struct-of-arrays view of the pool's weight vectors, built on first use
-  // and invalidated by mutations; the batched violator scans sweep its
-  // columns instead of the row-major samples.
+  // and invalidated by mutations; the batched violator scan
+  // (ConstraintChecker::IsValidBatch) sweeps its columns instead of the
+  // row-major samples.
   const WeightBatch& batch() const;
 
  private:
@@ -97,7 +88,6 @@ class SamplePool {
   // Raises the id source so every future MintId() exceeds `floor` (restore
   // path; monotone, never lowers it).
   static void EnsureMintAbove(SampleId floor);
-  void BuildList(std::size_t f) const;
 
   std::vector<WeightedSample> samples_;
   mutable std::vector<SortedList> sorted_lists_;

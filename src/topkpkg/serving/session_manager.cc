@@ -54,10 +54,6 @@ SessionManager::SessionManager(const model::PackageEvaluator* evaluator,
                                   : options_.num_workers;
   owned_pool_ = std::make_unique<ThreadPool>(workers);
   pool_ = owned_pool_.get();
-  // The single seam: every session's phases borrow the manager's pool
-  // instead of spawning their own (nested ParallelFor from a pool worker
-  // runs inline, so this cannot deadlock).
-  options_.recommender.exec.pool = pool_;
 
   // Registry handles, labeled with a process-unique manager id so each
   // manager (tests construct them back to back) gets fresh series and

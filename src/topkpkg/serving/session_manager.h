@@ -17,10 +17,8 @@
 //   - Per-session FIFO, cross-session parallelism. Each session owns a
 //     request queue drained strictly in order — two requests to one session
 //     never interleave — while requests to distinct sessions run
-//     concurrently on the shared pool. Session work that wants its own
-//     inner parallelism borrows the same pool through the
-//     ExecutionOptions::pool seam (safe: nested ParallelFor from a worker
-//     runs inline, see ThreadPool::OnWorkerThread).
+//     concurrently on the shared pool. A round runs start to finish on the
+//     one worker serving it.
 //
 //   - Capacity and backpressure. A session whose queue holds
 //     `max_queued_requests_per_session` pending requests rejects further
@@ -46,8 +44,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -80,8 +78,7 @@ struct TopKSnapshot {
 struct SessionManagerOptions {
   // Template every session's PackageRecommender is built from. Must stay
   // fixed for the manager's lifetime: the checkpoint config fingerprint is
-  // derived from it, so changing it orphans cold sessions. exec.pool is
-  // overwritten with the manager's shared pool.
+  // derived from it, so changing it orphans cold sessions.
   recsys::RecommenderOptions recommender;
   // Hydrated-LRU capacity: max sessions resident in memory at once.
   std::size_t max_hydrated_sessions = 64;
@@ -205,8 +202,6 @@ class SessionManager {
 
   Stats stats() const;
 
-  ThreadPool* pool() { return pool_; }
-
  private:
   // Per-session serving state. Entries are created by StartSession and kept
   // for the manager's lifetime (an ended session stays as a tombstone so
@@ -214,7 +209,10 @@ class SessionManager {
   struct SessionState {
     SessionId id = 0;
     std::uint64_t seed = 0;
-    std::deque<SessionRequest> queue;
+    // A list, not a deque: libstdc++'s deque allocates a map and a 512-byte
+    // node even when empty, and every ended session keeps its empty queue
+    // for the manager's lifetime.
+    std::list<SessionRequest> queue;
     // A drain task for this session is queued or running (at most one ever
     // exists — this is what serializes a session's requests).
     bool scheduled = false;

@@ -4,7 +4,7 @@
 // The public facade of topkpkg. Applications include this one header and
 // program against what it re-exports; everything under src/topkpkg/ that it
 // does NOT pull in (storage/codec.h, sampling internals like
-// parallel_sampler.h, topk/skyline.h, ranking/incremental_ranker.h, ...) is
+// sample_maintenance.h, topk/skyline.h, ranking/incremental_ranker.h, ...) is
 // an internal header: its layout and API may change between versions
 // without notice, and the examples deliberately compile against this facade
 // alone to keep it honest.
@@ -30,10 +30,9 @@
 //   model/    ItemTable / Profile / PackageEvaluator / Package.
 //   data/     Synthetic dataset generators (UNI/PWR/COR/ANT, NBA-like).
 //   obs/      MetricsRegistry (Prometheus-text export) + request tracing.
-//   common/   Status / Result<T>, Rng, ThreadPool, ExecutionOptions.
+//   common/   Status / Result<T>, Rng, ThreadPool.
 
 #include "topkpkg/baseline/hard_constraint.h"
-#include "topkpkg/common/execution_options.h"
 #include "topkpkg/common/random.h"
 #include "topkpkg/common/status.h"
 #include "topkpkg/common/thread_pool.h"

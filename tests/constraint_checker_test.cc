@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "topkpkg/common/random.h"
-#include "topkpkg/common/thread_pool.h"
 #include "topkpkg/model/item_table.h"
 #include "topkpkg/topk/topk_pkg.h"
 
@@ -107,42 +106,6 @@ TEST(ConstraintCheckerTest, IsValidBatchAgreesWithIsValid) {
   EXPECT_GT(num_valid, 0u);
   EXPECT_LT(num_valid, samples.size());
   EXPECT_EQ(batch_checks, scalar_checks);
-}
-
-TEST(ConstraintCheckerTest, ParallelIsValidBatchMatchesSerial) {
-  Rng rng(23);
-  const std::size_t dim = 3;
-  const Vec hidden = {0.5, -0.2, 0.3};
-  std::vector<pref::Preference> prefs;
-  while (prefs.size() < 8) {
-    Vec a = rng.UniformVector(dim, 0.0, 1.0);
-    Vec b = rng.UniformVector(dim, 0.0, 1.0);
-    if (Dot(a, hidden) == Dot(b, hidden)) continue;
-    prefs.push_back(Dot(a, hidden) > Dot(b, hidden)
-                        ? pref::Preference::FromVectors(a, b)
-                        : pref::Preference::FromVectors(b, a));
-  }
-  ConstraintChecker checker(prefs);
-  // Large enough to clear the parallel overload's minimum-batch threshold.
-  std::vector<WeightedSample> samples;
-  for (int i = 0; i < 6000; ++i) {
-    samples.push_back(WeightedSample{rng.UniformVector(dim, -1.0, 1.0), 1.0});
-  }
-  WeightBatch batch = WeightBatch::FromSamples(samples);
-
-  std::size_t serial_checks = 0;
-  std::vector<std::uint8_t> serial =
-      checker.IsValidBatch(batch, &serial_checks);
-  ThreadPool workers(4);
-  std::size_t parallel_checks = 0;
-  std::vector<std::uint8_t> parallel =
-      checker.IsValidBatch(batch, &workers, &parallel_checks);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial_checks, parallel_checks);
-  // Null pool falls back to the serial scan.
-  std::size_t fallback_checks = 0;
-  EXPECT_EQ(checker.IsValidBatch(batch, nullptr, &fallback_checks), serial);
-  EXPECT_EQ(fallback_checks, serial_checks);
 }
 
 TEST(ConstraintCheckerTest, IsValidBatchHandlesEmptyInputs) {

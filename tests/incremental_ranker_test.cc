@@ -2,7 +2,7 @@
 // multiple feedback rounds of a persistent pool (violators replaced, the rest
 // surviving), IncrementalRanker must produce a RankingResult bit-identical to
 // the from-scratch PackageRanker oracle over the same pool — for all three
-// semantics and for 1 vs N ranking threads.
+// semantics.
 
 #include "topkpkg/ranking/incremental_ranker.h"
 
@@ -55,7 +55,7 @@ class IncrementalRankerFixture : public ::testing::Test {
   std::unique_ptr<model::PackageEvaluator> evaluator_;
 };
 
-TEST_F(IncrementalRankerFixture, MultiRoundEquivalenceAllSemanticsAndThreads) {
+TEST_F(IncrementalRankerFixture, MultiRoundEquivalenceAllSemantics) {
   Rng rng(71);
   Vec hidden = {0.8, -0.3, 0.5};
   prob::GaussianMixture prior = DefaultPrior(3, 72);
@@ -64,15 +64,12 @@ TEST_F(IncrementalRankerFixture, MultiRoundEquivalenceAllSemanticsAndThreads) {
   ASSERT_TRUE(initial.ok()) << initial.status();
   sampling::SamplePool pool(std::move(initial).value());
 
-  RankingOptions serial_opts;
-  serial_opts.k = 4;
-  serial_opts.sigma = 3;
-  RankingOptions parallel_opts = serial_opts;
-  parallel_opts.exec.num_threads = 4;
+  RankingOptions opts;
+  opts.k = 4;
+  opts.sigma = 3;
 
   PackageRanker oracle(evaluator_.get());
-  IncrementalRanker serial(evaluator_.get());
-  IncrementalRanker parallel(evaluator_.get());
+  IncrementalRanker incremental(evaluator_.get());
 
   std::vector<pref::Preference> feedback;
   sampling::PoolDelta delta;
@@ -81,21 +78,14 @@ TEST_F(IncrementalRankerFixture, MultiRoundEquivalenceAllSemanticsAndThreads) {
   for (int round = 0; round < 6; ++round) {
     for (Semantics sem :
          {Semantics::kExp, Semantics::kTkp, Semantics::kMpo}) {
-      auto from_scratch = oracle.Rank(pool.samples(), sem, serial_opts);
+      auto from_scratch = oracle.Rank(pool.samples(), sem, opts);
       ASSERT_TRUE(from_scratch.ok()) << from_scratch.status();
 
-      IncrementalRankStats serial_stats;
-      auto incr = serial.Rank(pool, delta, sem, serial_opts, &serial_stats);
+      auto incr = incremental.Rank(pool, delta, sem, opts);
       ASSERT_TRUE(incr.ok()) << incr.status();
-      std::string ctx = std::string("round ") + std::to_string(round) + " " +
-                        SemanticsName(sem) + " serial";
+      const std::string ctx = std::string("round ") + std::to_string(round) +
+                              " " + SemanticsName(sem);
       ExpectSameResult(*incr, *from_scratch, ctx.c_str());
-
-      auto incr_mt = parallel.Rank(pool, delta, sem, parallel_opts);
-      ASSERT_TRUE(incr_mt.ok()) << incr_mt.status();
-      ctx = std::string("round ") + std::to_string(round) + " " +
-            SemanticsName(sem) + " parallel";
-      ExpectSameResult(*incr_mt, *from_scratch, ctx.c_str());
     }
 
     // Next round: one new consistent preference invalidates some samples;

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "topkpkg/common/thread_pool.h"
-
 namespace topkpkg::ranking {
 namespace {
 
@@ -151,56 +149,20 @@ TEST_F(Fig2Fixture, ImportanceWeightsScaleCounts) {
   }
 }
 
-TEST_F(Fig2Fixture, ParallelSearchMatchesSerial) {
-  // The per-sample searches are independent; any thread count must produce
-  // the exact same lists, scores and order (including memoized duplicates).
-  PackageRanker ranker(evaluator_.get());
-  std::vector<sampling::WeightedSample> pool = samples_;
-  pool.push_back(samples_[1]);  // Duplicate state, as MCMC pools have.
-  pool.push_back(samples_[0]);
-  for (Semantics semantics :
-       {Semantics::kExp, Semantics::kTkp, Semantics::kMpo}) {
-    RankingOptions serial_opts;
-    serial_opts.k = 6;
-    serial_opts.sigma = 2;
-    RankingOptions parallel_opts = serial_opts;
-    parallel_opts.exec.num_threads = 4;
-    auto a = ranker.Rank(pool, semantics, serial_opts);
-    auto b = ranker.Rank(pool, semantics, parallel_opts);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->packages.size(), b->packages.size());
-    for (std::size_t i = 0; i < a->packages.size(); ++i) {
-      EXPECT_EQ(a->packages[i].package, b->packages[i].package);
-      EXPECT_DOUBLE_EQ(a->packages[i].score, b->packages[i].score);
-    }
-  }
-}
-
-TEST_F(Fig2Fixture, CallerOwnedThreadPoolMatchesSpawnPerCall) {
-  // A persistent caller-owned worker pool (the recommender's round loop
-  // reuses one across phases) must produce exactly what the spawn-per-call
-  // path produces, across repeated calls on the same pool.
+TEST_F(Fig2Fixture, ExpRanksOnlyPackagesThePackageFilterPasses) {
+  // EXP adds the top list under the mean weight vector to the candidates;
+  // that search must take the filter like the per-sample ones. Rejecting
+  // every package holding t2 rejects the unfiltered EXP top-2 (p4, p5).
   PackageRanker ranker(evaluator_.get());
   RankingOptions opts;
-  opts.k = 6;
+  opts.k = 2;
   opts.sigma = 2;
-  opts.exec.num_threads = 3;
-  ThreadPool workers(3);
-  for (int round = 0; round < 3; ++round) {
-    for (Semantics semantics :
-         {Semantics::kExp, Semantics::kTkp, Semantics::kMpo}) {
-      auto spawned = ranker.Rank(samples_, semantics, opts);
-      auto borrowed = ranker.Rank(samples_, semantics, opts, &workers);
-      ASSERT_TRUE(spawned.ok());
-      ASSERT_TRUE(borrowed.ok());
-      ASSERT_EQ(spawned->packages.size(), borrowed->packages.size());
-      for (std::size_t i = 0; i < spawned->packages.size(); ++i) {
-        EXPECT_EQ(spawned->packages[i].package, borrowed->packages[i].package);
-        EXPECT_DOUBLE_EQ(spawned->packages[i].score,
-                         borrowed->packages[i].score);
-      }
-    }
+  opts.package_filter = [](const Package& p) { return !p.Contains(1); };
+  auto result = ranker.Rank(samples_, Semantics::kExp, opts);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->packages.size(), 2u);
+  for (const auto& rp : result->packages) {
+    EXPECT_FALSE(rp.package.Contains(1)) << rp.package.Key();
   }
 }
 

@@ -278,6 +278,81 @@ TEST_F(CheckpointFixture, InterleavedSessionsCheckpointAndRestore) {
   EXPECT_GT(got_b->searches_skipped, 0u);
 }
 
+// Vector lengths are the one payload shape the codecs cannot check: they do
+// not know the prior's dimension. Each case below checkpoints a 2-round
+// session, then rewrites one committed state record as a well-framed,
+// CRC-valid record whose every vector is one element short. Restore must
+// refuse it and leave the recommender as constructed, so the next round is
+// a fresh session's first instead of a read past a heap buffer.
+class ShortVectorFixture : public CheckpointFixture {
+ protected:
+  // Runs 2 rounds and checkpoints them as session 7 (sequence 1).
+  void CheckpointTwoRounds(storage::SessionStore& store) {
+    original_ = NewRecommender(DefaultOptions(), 11);
+    for (int round = 0; round < 2; ++round) {
+      ASSERT_TRUE(original_->RunRound(user_).ok());
+    }
+    ASSERT_TRUE(original_->Checkpoint(store, 7).ok());
+  }
+
+  // Overwrites session 7's committed (sequence 1) record of `kind`.
+  static void RewriteCommitted(storage::SessionStore& store,
+                               storage::RecordKind kind,
+                               const std::string& payload) {
+    ByteWriter seq;
+    seq.PutU64(1);
+    ASSERT_TRUE(
+        store.Put(7, storage::GenSlotKind(kind, 1), seq.bytes() + payload)
+            .ok());
+  }
+
+  void ExpectRefusedAndUntouched(storage::SessionStore& store,
+                                 const std::string& record) {
+    auto restored = NewRecommender(DefaultOptions(), 11);
+    const Status st = restored->Restore(store, 7);
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st;
+    EXPECT_NE(st.message().find(record), std::string::npos) << st;
+    EXPECT_EQ(restored->pool().size(), 0u);
+    EXPECT_TRUE(restored->round_history().empty());
+    EXPECT_EQ(restored->feedback().num_nodes(), 0u);
+    auto log = restored->RunRound(user_);
+    ASSERT_TRUE(log.ok()) << log.status();
+    EXPECT_EQ(log->samples_reused, 0u);
+  }
+
+  SimulatedUser user_{{0.8, 0.4, -0.2}};
+  std::unique_ptr<PackageRecommender> original_;
+};
+
+TEST_F(ShortVectorFixture, RestoreRejectsShortPoolVectors) {
+  auto store = storage::SessionStore::Open(TempStorePath("short_pool"));
+  ASSERT_TRUE(store.ok()) << store.status();
+  CheckpointTwoRounds(*store);
+  std::vector<sampling::WeightedSample> samples = original_->pool().samples();
+  for (sampling::WeightedSample& s : samples) s.w.pop_back();
+  auto pool = sampling::SamplePool::FromSnapshot(std::move(samples));
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  RewriteCommitted(*store, storage::kKindSamplePool,
+                   storage::EncodeSamplePool(*pool));
+  ExpectRefusedAndUntouched(*store, "sample-pool");
+}
+
+TEST_F(ShortVectorFixture, RestoreRejectsShortPreferenceVectors) {
+  auto store = storage::SessionStore::Open(TempStorePath("short_pref"));
+  ASSERT_TRUE(store.ok()) << store.status();
+  CheckpointTwoRounds(*store);
+  const pref::PreferenceSet& feedback = original_->feedback();
+  ASSERT_GT(feedback.num_edges(), 0u);
+  std::vector<Vec> vectors = feedback.node_vectors();
+  for (Vec& v : vectors) v.pop_back();
+  auto shortened = pref::PreferenceSet::FromSnapshot(
+      std::move(vectors), feedback.node_keys(), feedback.adjacency());
+  ASSERT_TRUE(shortened.ok()) << shortened.status();
+  RewriteCommitted(*store, storage::kKindPreferenceSet,
+                   storage::EncodePreferenceSet(*shortened));
+  ExpectRefusedAndUntouched(*store, "preference-set");
+}
+
 // The meta record's config fingerprint for library-default options, pinned
 // byte for byte: Restore refuses any checkpoint whose fingerprint differs,
 // so a change here orphans every stored session. Settings that became

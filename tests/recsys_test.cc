@@ -1,5 +1,6 @@
 #include "topkpkg/recsys/recommender.h"
 
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -123,13 +124,33 @@ TEST_F(RecsysFixture, LearnedTopPackageHasHighTrueUtility) {
 }
 
 TEST_F(RecsysFixture, PackageFilterRespected) {
+  // The filter rejects singletons and the top-k an unfiltered session with
+  // the same seed ranks in round 1: the top-k under the pool's mean weight
+  // vector, which EXP searches. Round 1 draws the same pool either way, so
+  // a mean-vector search that skipped the filter would rank only rejected
+  // packages and leave the exploit slots empty.
   RecommenderOptions opts = DefaultOptions();
-  opts.package_filter = [](const model::Package& p) { return p.size() >= 2; };
-  auto rec = NewRecommender(opts, 15);
   SimulatedUser user({0.5, 0.5, 0.5});
-  auto log = rec->RunRound(user);
-  ASSERT_TRUE(log.ok()) << log.status();
-  for (const auto& p : log->presented) EXPECT_GE(p.size(), 2u);
+  auto first = NewRecommender(opts, 15)->RunRound(user);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_FALSE(first->top_k.empty());
+  const std::vector<model::Package> rejected = first->top_k;
+  opts.package_filter = [rejected](const model::Package& p) {
+    return p.size() >= 2 &&
+           std::find(rejected.begin(), rejected.end(), p) == rejected.end();
+  };
+  auto rec = NewRecommender(opts, 15);
+  for (int round = 0; round < 3; ++round) {
+    auto log = rec->RunRound(user);
+    ASSERT_TRUE(log.ok()) << log.status();
+    EXPECT_EQ(log->num_recommended, opts.num_recommended) << "round " << round;
+    for (const auto& p : log->top_k) {
+      EXPECT_TRUE(opts.package_filter(p)) << p.Key() << " round " << round;
+    }
+    for (const auto& p : log->presented) {
+      EXPECT_TRUE(opts.package_filter(p)) << p.Key() << " round " << round;
+    }
+  }
 }
 
 TEST_F(RecsysFixture, NoisyFeedbackStillRuns) {
@@ -154,30 +175,6 @@ TEST_F(RecsysFixture, RejectionAndImportanceSamplersWorkToo) {
     auto log = rec->RunRound(user);
     ASSERT_TRUE(log.ok()) << SamplerKindName(kind) << ": " << log.status();
   }
-}
-
-TEST_F(RecsysFixture, ParallelSamplingRoundIsSeedDeterministic) {
-  // Two recommenders with the same seed and num_threads > 1 must walk the
-  // exact same rounds (the sharded draw is seeded from the recommender's
-  // RNG, not from scheduling), and the round must behave like any other.
-  SimulatedUser user({0.9, -0.2, 0.3});
-  RecommenderOptions opts = DefaultOptions();
-  opts.sampler = SamplerKind::kRejection;
-  opts.sampler_base.exec.num_threads = 4;
-  opts.ranking.exec.num_threads = 4;
-  auto a = NewRecommender(opts, /*seed=*/31);
-  auto b = NewRecommender(opts, /*seed=*/31);
-  for (int round = 0; round < 3; ++round) {
-    auto la = a->RunRound(user);
-    auto lb = b->RunRound(user);
-    ASSERT_TRUE(la.ok()) << la.status();
-    ASSERT_TRUE(lb.ok()) << lb.status();
-    EXPECT_EQ(la->presented, lb->presented) << "round " << round;
-    EXPECT_EQ(la->clicked, lb->clicked) << "round " << round;
-    EXPECT_EQ(la->top_k, lb->top_k) << "round " << round;
-    EXPECT_EQ(la->presented.size(), opts.num_recommended + opts.num_random);
-  }
-  EXPECT_EQ(a->feedback().num_edges(), b->feedback().num_edges());
 }
 
 TEST_F(RecsysFixture, IncrementalEngineReusesPoolAcrossRounds) {

@@ -150,49 +150,6 @@ TEST(SampleMaintenanceTest, RandomHyperplaneSplitsPool) {
   EXPECT_LT(res.violators.size(), pool.size() * 4 / 5);
 }
 
-TEST(SampleMaintenanceTest, ParallelScanMatchesNaiveForAnyThreadCount) {
-  SamplePool pool = RandomPool(333, 4, 21);
-  for (uint64_t pref_seed : {22u, 23u, 24u}) {
-    pref::Preference p = RandomHyperplanePreference(4, pref_seed);
-    auto naive = FindViolators(pool, p, MaintenanceStrategy::kNaive);
-    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-      ThreadPool workers(threads);
-      auto parallel = FindViolatorsParallel(pool, p, workers);
-      EXPECT_EQ(parallel.violators, naive.violators)
-          << "threads=" << threads << " seed=" << pref_seed;
-      EXPECT_EQ(parallel.accesses, pool.size());
-      EXPECT_FALSE(parallel.fell_back);
-      // Naive scan emits ascending indices; the shard merge must too.
-      EXPECT_TRUE(std::is_sorted(parallel.violators.begin(),
-                                 parallel.violators.end()));
-    }
-  }
-}
-
-TEST(SampleMaintenanceTest, ParallelScanOnEmptyPool) {
-  SamplePool pool;
-  pref::Preference p = RandomHyperplanePreference(3, 2);
-  ThreadPool workers(4);
-  auto res = FindViolatorsParallel(pool, p, workers);
-  EXPECT_TRUE(res.violators.empty());
-  EXPECT_EQ(res.accesses, 0u);
-}
-
-TEST(SampleMaintenanceTest, ParallelSortedListRebuildMatchesSerial) {
-  SamplePool serial_pool = RandomPool(500, 5, 31);
-  SamplePool parallel_pool = RandomPool(500, 5, 31);
-  ThreadPool workers(4);
-  const auto& serial_lists = serial_pool.sorted_lists();
-  const auto& parallel_lists = parallel_pool.sorted_lists_parallel(workers);
-  ASSERT_EQ(serial_lists.size(), parallel_lists.size());
-  for (std::size_t f = 0; f < serial_lists.size(); ++f) {
-    EXPECT_EQ(serial_lists[f], parallel_lists[f]) << "feature " << f;
-  }
-  // Mutation dirties the lists; the parallel rebuild must notice.
-  parallel_pool.Replace({0, 1}, {});
-  EXPECT_EQ(parallel_pool.sorted_lists_parallel(workers)[0].size(), 498u);
-}
-
 TEST(SampleMaintenanceTest, PoolBatchViewTracksMutations) {
   SamplePool pool = RandomPool(10, 3, 41);
   const WeightBatch& batch = pool.batch();

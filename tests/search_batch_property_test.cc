@@ -387,7 +387,7 @@ TEST(RankerBatchedEquivalenceTest, BatchedRankingMatchesScalarExactly) {
         ranker.Aggregate(reference, semantics, opts);
 
     ranking::SearchDedupStats batch_dedup;
-    auto batched = ranker.Rank(samples, semantics, opts, nullptr, &batch_dedup);
+    auto batched = ranker.Rank(samples, semantics, opts, &batch_dedup);
     ASSERT_TRUE(batched.ok()) << batched.status();
 
     EXPECT_EQ(batch_dedup.unique_searches, distinct.size());
@@ -400,41 +400,6 @@ TEST(RankerBatchedEquivalenceTest, BatchedRankingMatchesScalarExactly) {
           << ranking::SemanticsName(semantics) << " rank=" << i;
       EXPECT_EQ(batched->packages[i].score, scalar.packages[i].score)
           << ranking::SemanticsName(semantics) << " rank=" << i;
-    }
-  }
-}
-
-// Thread count must not change the batched output either: the chunk grid is
-// fixed by (unique samples, kMaxBatchLanes), so sharding it is order-free.
-// The pool spans three chunks, so four threads really split it.
-TEST(RankerBatchedEquivalenceTest, ParallelBatchedMatchesSerialBatched) {
-  Rng rng(555);
-  auto w = MakeWorkload(RandomTable(12, 2, 0.0, rng), "sum,min", 3);
-  ranking::PackageRanker ranker(w.evaluator.get());
-  std::vector<sampling::WeightedSample> samples;
-  for (std::size_t i = 0; i < 2 * kMaxBatchLanes + 22; ++i) {
-    sampling::WeightedSample s;
-    s.w = RandomWeights(2, rng);
-    s.id = static_cast<sampling::SampleId>(i);
-    samples.push_back(std::move(s));
-  }
-  ranking::RankingOptions serial_opts;
-  serial_opts.k = 3;
-  ranking::RankingOptions parallel_opts = serial_opts;
-  parallel_opts.exec.num_threads = 4;
-  auto serial = ranker.ComputeSampleLists(samples, serial_opts);
-  auto parallel = ranker.ComputeSampleLists(samples, parallel_opts);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  ASSERT_EQ(serial->size(), parallel->size());
-  for (std::size_t i = 0; i < serial->size(); ++i) {
-    const auto& a = (*serial)[i];
-    const auto& b = (*parallel)[i];
-    EXPECT_EQ(a.truncated, b.truncated);
-    ASSERT_EQ(a.packages.size(), b.packages.size()) << "sample " << i;
-    for (std::size_t r = 0; r < a.packages.size(); ++r) {
-      EXPECT_EQ(a.packages[r].package, b.packages[r].package);
-      EXPECT_EQ(a.packages[r].utility, b.packages[r].utility);
     }
   }
 }

@@ -4,6 +4,7 @@
 // progress concurrently, backpressure rejects with ResourceExhausted, and
 // construction rejects invalid configuration with typed errors.
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -250,19 +251,32 @@ TEST_F(SessionManagerFixture, BackpressureRejectsWhenSessionQueueIsFull) {
   SessionManagerOptions opts = ManagerOptions(/*max_hydrated=*/2,
                                               /*workers=*/1);
   opts.max_queued_requests_per_session = 2;
+  // Hold the single worker hostage so nothing drains: the first package
+  // filter call (made inside a round's search) blocks until released.
+  std::promise<void> entered;
+  std::future<void> worker_held = entered.get_future();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> hold{true};
+  opts.recommender.package_filter = [&entered, &hold,
+                                     released](const model::Package&) {
+    if (hold.exchange(false)) {
+      entered.set_value();
+      released.wait();
+    }
+    return true;
+  };
   auto manager = SessionManager::Create(evaluator_.get(), prior_.get(),
                                         &*store, opts);
   ASSERT_TRUE(manager.ok()) << manager.status();
   auto handle = (*manager)->StartSession(1, 11);
   ASSERT_TRUE(handle.ok());
-
-  // Hold the single worker hostage so nothing drains.
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  std::future<void> hostage =
-      (*manager)->pool()->Submit([released]() { released.wait(); });
+  auto hostage_session = (*manager)->StartSession(2, 12);
+  ASSERT_TRUE(hostage_session.ok());
 
   recsys::SimulatedUser user({0.8, 0.4, -0.2});
+  auto hostage = hostage_session->Feedback(&user);
+  worker_held.wait();
   auto first = handle->Feedback(&user);
   auto second = handle->GetTopK();
   auto rejected = handle->Feedback(&user);  // Queue holds 2: over capacity.
@@ -271,7 +285,7 @@ TEST_F(SessionManagerFixture, BackpressureRejectsWhenSessionQueueIsFull) {
   EXPECT_EQ((*manager)->stats().rejected, 1u);
 
   release.set_value();
-  hostage.get();
+  EXPECT_TRUE(hostage.get().ok());
   EXPECT_TRUE(first.get().ok());
   EXPECT_TRUE(second.get().ok());  // The accepted requests still complete.
 }

@@ -28,47 +28,6 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   EXPECT_EQ(pool.Submit([]() { return 7; }).get(), 7);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  for (std::size_t n : {0u, 1u, 3u, 4u, 7u, 64u, 1000u}) {
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    pool.ParallelFor(n, [&hits](std::size_t i) { ++hits[i]; });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " of " << n;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, CappedParallelForHonorsMaxBlocks) {
-  ThreadPool pool(8);
-  for (std::size_t cap : {1u, 2u, 3u, 8u, 100u}) {
-    const std::size_t n = 97;
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    std::atomic<std::size_t> blocks{0};
-    pool.ParallelForBlocks(n, cap, [&](std::size_t lo, std::size_t hi) {
-      ++blocks;
-      for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-    });
-    EXPECT_LE(blocks.load(), std::min<std::size_t>(cap, pool.num_threads()))
-        << "cap " << cap;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " cap " << cap;
-    }
-    // Index flavor: same coverage under the same cap.
-    for (auto& h : hits) h.store(0);
-    pool.ParallelFor(n, cap, [&hits](std::size_t i) { ++hits[i]; });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " cap " << cap;
-    }
-  }
-  // A zero cap clamps to one block rather than dropping the work.
-  std::atomic<int> sum{0};
-  pool.ParallelFor(5, 0, [&sum](std::size_t) { ++sum; });
-  EXPECT_EQ(sum.load(), 5);
-}
-
 TEST(ThreadPoolTest, SubmittedExceptionReachesTheFuture) {
   ThreadPool pool(2);
   std::future<int> bad =
@@ -76,28 +35,6 @@ TEST(ThreadPoolTest, SubmittedExceptionReachesTheFuture) {
   EXPECT_THROW(bad.get(), std::runtime_error);
   // The worker that ran the throwing task is still alive and serving.
   EXPECT_EQ(pool.Submit([]() { return 1; }).get(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForRethrowsLowestBlockError) {
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  try {
-    pool.ParallelFor(100, [&completed](std::size_t i) {
-      if (i == 10) throw std::invalid_argument("low");
-      if (i == 90) throw std::runtime_error("high");
-      ++completed;
-    });
-    FAIL() << "ParallelFor should rethrow";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "low");  // Lowest-index block wins.
-  }
-  // An exception aborts only its own block's remaining indices; the other
-  // blocks run to completion. With 100 indices over 4 blocks of 25: block 0
-  // stops at i=10 (10 ran), block 3 stops at i=90 (15 ran), blocks 1 and 2
-  // complete (50 ran).
-  EXPECT_EQ(completed.load(), 75);
-  // And the pool remains usable afterwards.
-  EXPECT_EQ(pool.Submit([]() { return 3; }).get(), 3);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
@@ -113,28 +50,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
     // Destruction must wait for all 16, not drop the queue.
   }
   EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(ThreadPoolTest, NestedParallelForFromWorkerRunsInlineWithoutDeadlock) {
-  // A task running on a pool worker that issues a ParallelFor on the *same*
-  // pool must not block on futures its own busy pool can never serve. With
-  // every worker occupied by such a task, only the inline-reentrant path
-  // can make progress — a regression here hangs, so keep the pool small.
-  ThreadPool pool(2);
-  std::atomic<int> covered{0};
-  std::vector<std::future<void>> outer;
-  outer.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    outer.push_back(pool.Submit([&pool, &covered]() {
-      EXPECT_TRUE(pool.OnWorkerThread());
-      std::vector<std::uint8_t> hit(100, 0);
-      pool.ParallelFor(hit.size(), [&hit](std::size_t i) { hit[i] = 1; });
-      for (std::uint8_t h : hit) covered += h;
-    }));
-  }
-  for (auto& f : outer) f.get();
-  EXPECT_EQ(covered.load(), 400);
-  EXPECT_FALSE(pool.OnWorkerThread());
 }
 
 TEST(ThreadPoolTest, DrainsAndJoinsCleanlyUnderExceptions) {

@@ -8,15 +8,12 @@
 // hints are notes (the engine scan-falls-back and rewrites them); a hint
 // that *disagrees* with its segment's contents is corruption.
 //
-// Given a regular file, falls back to the pre-segmented single-log check so
-// old stores remain inspectable.
-//
 // Exit codes: 0 = clean, 1 = unreadable/usage, 2 = integrity findings
 // (CRC failures, hint/scan disagreement, or a torn tail unless
 // --allow-torn-tail — recovery truncates torn tails, so a store checked
 // after a clean open never has one).
 //
-// Usage: store_fsck [--verbose] [--allow-torn-tail] <store-dir-or-file>
+// Usage: store_fsck [--verbose] [--allow-torn-tail] <store-dir>
 //
 // CI runs it both against the store example_durable_session writes and
 // after every store_crashgen crash-recovery cycle, so the on-disk format
@@ -141,9 +138,6 @@ struct Findings {
   std::size_t hint_mismatches = 0;
   std::size_t notes = 0;  // Benign: stale/invalid hints, leftover .compact.
 };
-
-int FsckLegacyFile(const std::string& path, bool verbose,
-                   bool allow_torn_tail);
 
 int FsckDirectory(const std::string& path, bool verbose,
                   bool allow_torn_tail) {
@@ -311,63 +305,6 @@ int FsckDirectory(const std::string& path, bool verbose,
   return 0;
 }
 
-// Pre-segmented single-file stores: one record log is the whole database.
-int FsckLegacyFile(const std::string& path, bool verbose,
-                   bool allow_torn_tail) {
-  RecordLogReader reader(path);
-  ReplayStats stats;
-  KeydirShadow keydir;
-  std::map<RecordKind, std::size_t> by_kind;
-  Status st = reader.Replay(
-      [&](const Record& rec) {
-        ++by_kind[rec.kind];
-        if (verbose) {
-          std::printf("  @%-10" PRIu64 " session=%-6" PRIu64
-                      " kind=%u (%s) payload=%zu bytes\n",
-                      rec.offset, rec.session_id, rec.kind,
-                      KindName(rec.kind), rec.payload.size());
-        }
-        keydir.Apply(rec);
-        return Status::OK();
-      },
-      &stats, /*strict=*/false);
-  if (!st.ok()) {
-    std::fprintf(stderr, "store_fsck: %s\n", st.ToString().c_str());
-    return 1;
-  }
-
-  std::uint64_t live_bytes = 0;
-  for (const auto& [key, size] : keydir.live) live_bytes += size;
-  const std::uint64_t total = stats.tail_offset;
-  const std::uint64_t dead_bytes = total - kFileHeaderSize - live_bytes;
-
-  std::printf("store_fsck: %s (legacy single-file store)\n", path.c_str());
-  std::printf("  records            %zu\n", stats.records);
-  for (const auto& [kind, count] : by_kind) {
-    std::printf("    kind %-10u %s: %zu\n", kind, KindName(kind), count);
-  }
-  std::printf("  live keys          %zu\n", keydir.live.size());
-  std::printf("  payload bytes      %" PRIu64 "\n", stats.payload_bytes);
-  std::printf("  live bytes         %" PRIu64 "\n", live_bytes);
-  std::printf("  dead bytes         %" PRIu64 "\n", dead_bytes);
-  std::printf("  crc failures       %zu\n", stats.crc_failures);
-  std::printf("  torn tail          %s\n", stats.torn_tail ? "YES" : "no");
-
-  if (stats.crc_failures > 0) {
-    std::fprintf(stderr, "store_fsck: FAIL — %zu CRC failure(s)\n",
-                 stats.crc_failures);
-    return 2;
-  }
-  if (stats.torn_tail && !allow_torn_tail) {
-    std::fprintf(stderr,
-                 "store_fsck: FAIL — torn tail at offset %" PRIu64 "\n",
-                 stats.tail_offset);
-    return 2;
-  }
-  std::printf("store_fsck: OK\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -389,7 +326,7 @@ int main(int argc, char** argv) {
   if (path == nullptr) {
     std::fprintf(stderr,
                  "usage: store_fsck [--verbose] [--allow-torn-tail] "
-                 "<store-dir-or-file>\n");
+                 "<store-dir>\n");
     return 1;
   }
 
@@ -398,7 +335,14 @@ int main(int argc, char** argv) {
     return FsckDirectory(path, verbose, allow_torn_tail);
   }
   if (std::filesystem::is_regular_file(path, ec)) {
-    return FsckLegacyFile(path, verbose, allow_torn_tail);
+    // The pre-segmented single-file format, which SessionStore::Open
+    // refuses with this same message.
+    std::fprintf(stderr,
+                 "store_fsck: session store: %s is a regular file — the "
+                 "pre-segmented single-file format; this version keeps a "
+                 "directory of segments and does not migrate old stores\n",
+                 path);
+    return 1;
   }
   std::fprintf(stderr, "store_fsck: %s: no such store\n", path);
   return 1;
