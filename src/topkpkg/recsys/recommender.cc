@@ -657,8 +657,8 @@ Status PackageRecommender::Restore(const storage::SessionStore& store,
   TOPKPKG_ASSIGN_OR_RETURN(sampling::SamplePool pool,
                            storage::DecodeSamplePool(pool_bytes));
   // The codecs cannot know the prior's dimension, so vector lengths are
-  // checked here: a wrong-length vector would make the next round read
-  // past a buffer in the pool's constraint scan or a preference dot product.
+  // checked here (and by the cache decode below, which is told it): a
+  // wrong-length vector would make the next round read past a buffer.
   auto wrong_dim = [&](const char* what, std::size_t got) {
     return Status::FailedPrecondition(
         std::string("PackageRecommender::Restore: ") + what +
@@ -692,7 +692,7 @@ Status PackageRecommender::Restore(const storage::SessionStore& store,
   Rng restored_rng(0);
   TOPKPKG_RETURN_IF_ERROR(restored_rng.LoadState(rng_state));
   TOPKPKG_RETURN_IF_ERROR(
-      storage::DecodeTopListCacheInto(cache_bytes, ranker_));
+      storage::DecodeTopListCacheInto(cache_bytes, prior_->dim(), ranker_));
   rng_ = restored_rng;
   feedback_ = std::move(feedback);
   pool_ = std::move(pool);

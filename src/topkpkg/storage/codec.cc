@@ -193,7 +193,7 @@ std::string EncodeTopListCache(const ranking::IncrementalRanker& ranker) {
   return std::move(w).Take();
 }
 
-Status DecodeTopListCacheInto(const std::string& payload,
+Status DecodeTopListCacheInto(const std::string& payload, std::size_t dim,
                               ranking::IncrementalRanker& ranker) {
   ByteReader r(payload);
   TOPKPKG_ASSIGN_OR_RETURN(std::uint8_t version, r.GetU8());
@@ -221,6 +221,12 @@ Status DecodeTopListCacheInto(const std::string& payload,
   for (std::uint32_t i = 0; i < n; ++i) {
     TOPKPKG_ASSIGN_OR_RETURN(std::uint64_t id, r.GetU64());
     TOPKPKG_ASSIGN_OR_RETURN(ranking::SampleTopList list, GetTopList(r));
+    if (list.w.size() != dim) {
+      return Status::FailedPrecondition(
+          "codec: top-list-cache entry for sample " + std::to_string(id) +
+          " holds a weight vector of length " + std::to_string(list.w.size()) +
+          ", expected " + std::to_string(dim));
+    }
     entries.emplace_back(id, std::move(list));
   }
   ranker.RestoreSnapshot(has_options != 0, options, epoch,

@@ -15,6 +15,7 @@
 // order), so a restored session's next round replays exactly as the
 // uninterrupted one would.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -68,8 +69,11 @@ Result<sampling::SamplePool> DecodeSamplePool(const std::string& payload);
 
 // --- IncrementalRanker's TopListCache ------------------------------------
 
+// Decode parses the whole payload before touching `ranker`, and refuses
+// (FailedPrecondition, ranker untouched) any entry whose weight vector does
+// not have `dim` coordinates.
 std::string EncodeTopListCache(const ranking::IncrementalRanker& ranker);
-Status DecodeTopListCacheInto(const std::string& payload,
+Status DecodeTopListCacheInto(const std::string& payload, std::size_t dim,
                               ranking::IncrementalRanker& ranker);
 
 // --- RoundLog history ----------------------------------------------------

@@ -278,8 +278,8 @@ TEST_F(CheckpointFixture, InterleavedSessionsCheckpointAndRestore) {
   EXPECT_GT(got_b->searches_skipped, 0u);
 }
 
-// Vector lengths are the one payload shape the codecs cannot check: they do
-// not know the prior's dimension. Each case below checkpoints a 2-round
+// Vector lengths are the one payload shape a codec cannot check without
+// being told the prior's dimension. Each case below checkpoints a 2-round
 // session, then rewrites one committed state record as a well-framed,
 // CRC-valid record whose every vector is one element short. Restore must
 // refuse it and leave the recommender as constructed, so the next round is
@@ -351,6 +351,33 @@ TEST_F(ShortVectorFixture, RestoreRejectsShortPreferenceVectors) {
   RewriteCommitted(*store, storage::kKindPreferenceSet,
                    storage::EncodePreferenceSet(*shortened));
   ExpectRefusedAndUntouched(*store, "preference-set");
+}
+
+TEST_F(ShortVectorFixture, RestoreRejectsShortCachedVectors) {
+  auto store = storage::SessionStore::Open(TempStorePath("short_cache"));
+  ASSERT_TRUE(store.ok()) << store.status();
+  CheckpointTwoRounds(*store);
+  auto committed = store->Get(
+      7, storage::GenSlotKind(storage::kKindTopListCache, /*seq=*/1));
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  ranking::IncrementalRanker decoded(evaluator_.get());
+  ASSERT_TRUE(storage::DecodeTopListCacheInto(
+                  committed->substr(sizeof(std::uint64_t)), prior_->dim(),
+                  decoded)
+                  .ok());
+  const ranking::IncrementalRanker::CacheSnapshot snap = decoded.Snapshot();
+  ASSERT_FALSE(snap.entries.empty());
+  std::vector<std::pair<sampling::SampleId, ranking::SampleTopList>> entries;
+  for (const auto& [id, list] : snap.entries) {
+    entries.emplace_back(id, *list);
+    entries.back().second.w.pop_back();
+  }
+  ranking::IncrementalRanker shortened(evaluator_.get());
+  shortened.RestoreSnapshot(snap.has_options, snap.options, snap.epoch,
+                            std::move(entries));
+  RewriteCommitted(*store, storage::kKindTopListCache,
+                   storage::EncodeTopListCache(shortened));
+  ExpectRefusedAndUntouched(*store, "top-list-cache");
 }
 
 // The meta record's config fingerprint for library-default options, pinned
