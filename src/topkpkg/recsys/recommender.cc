@@ -656,9 +656,10 @@ Status PackageRecommender::Restore(const storage::SessionStore& store,
                            unwrap(storage::kKindSamplePool, "sample-pool"));
   TOPKPKG_ASSIGN_OR_RETURN(sampling::SamplePool pool,
                            storage::DecodeSamplePool(pool_bytes));
-  // The codecs cannot know the prior's dimension, so vector lengths are
-  // checked here (and by the cache decode below, which is told it): a
-  // wrong-length vector would make the next round read past a buffer.
+  // The pool and preference-set decoders do not know the prior's
+  // dimension, so their vector lengths are checked here (the cache decode
+  // below is passed it): a wrong-length vector would make the next round
+  // read past a buffer.
   auto wrong_dim = [&](const char* what, std::size_t got) {
     return Status::FailedPrecondition(
         std::string("PackageRecommender::Restore: ") + what +
