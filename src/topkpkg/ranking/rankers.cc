@@ -213,8 +213,7 @@ RankingResult PackageRanker::Aggregate(
       }
       const topk::TopKPkgSearch::PackageFilter* filter =
           options.package_filter ? &options.package_filter : nullptr;
-      auto mean_top =
-          search_.Search(mean_w, options.k, options.limits, filter);
+      auto mean_top = search_.Search(mean_w, options.k, options.limits, filter);
       if (mean_top.ok()) {
         for (const auto& sp : mean_top->packages) {
           candidates.emplace(sp.package, 0.0);

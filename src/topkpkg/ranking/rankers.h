@@ -81,16 +81,14 @@ class PackageRanker {
   // statistics.
   Result<std::vector<SampleTopList>> ComputeSampleLists(
       const std::vector<sampling::WeightedSample>& samples,
-      const RankingOptions& options,
-      SearchDedupStats* dedup = nullptr) const;
+      const RankingOptions& options, SearchDedupStats* dedup = nullptr) const;
 
   // Same search over non-owning pointers (entries must be non-null), so
   // callers that select a subset of a pool (e.g. IncrementalRanker's
   // cache-missing samples) don't copy the weight vectors first.
   Result<std::vector<SampleTopList>> ComputeSampleLists(
       const std::vector<const sampling::WeightedSample*>& samples,
-      const RankingOptions& options,
-      SearchDedupStats* dedup = nullptr) const;
+      const RankingOptions& options, SearchDedupStats* dedup = nullptr) const;
 
   // Pure aggregation of precomputed lists (Sec. 4's EXP/TKP/MPO logic).
   RankingResult Aggregate(const std::vector<SampleTopList>& lists,

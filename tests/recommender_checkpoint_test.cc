@@ -301,9 +301,8 @@ class ShortVectorFixture : public CheckpointFixture {
                                const std::string& payload) {
     ByteWriter seq;
     seq.PutU64(1);
-    ASSERT_TRUE(
-        store.Put(7, storage::GenSlotKind(kind, 1), seq.bytes() + payload)
-            .ok());
+    const std::string record = seq.bytes() + payload;
+    ASSERT_TRUE(store.Put(7, storage::GenSlotKind(kind, 1), record).ok());
   }
 
   void ExpectRefusedAndUntouched(storage::SessionStore& store,
@@ -360,11 +359,10 @@ TEST_F(ShortVectorFixture, RestoreRejectsShortCachedVectors) {
   auto committed = store->Get(
       7, storage::GenSlotKind(storage::kKindTopListCache, /*seq=*/1));
   ASSERT_TRUE(committed.ok()) << committed.status();
+  const std::string payload = committed->substr(sizeof(std::uint64_t));
   ranking::IncrementalRanker decoded(evaluator_.get());
-  ASSERT_TRUE(storage::DecodeTopListCacheInto(
-                  committed->substr(sizeof(std::uint64_t)), prior_->dim(),
-                  decoded)
-                  .ok());
+  ASSERT_TRUE(
+      storage::DecodeTopListCacheInto(payload, prior_->dim(), decoded).ok());
   const ranking::IncrementalRanker::CacheSnapshot snap = decoded.Snapshot();
   ASSERT_FALSE(snap.entries.empty());
   std::vector<std::pair<sampling::SampleId, ranking::SampleTopList>> entries;

@@ -258,8 +258,7 @@ TEST_F(SessionManagerFixture, BackpressureRejectsWhenSessionQueueIsFull) {
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   std::atomic<bool> hold{true};
-  opts.recommender.package_filter = [&entered, &hold,
-                                     released](const model::Package&) {
+  opts.recommender.package_filter = [&](const model::Package&) {
     if (hold.exchange(false)) {
       entered.set_value();
       released.wait();
