@@ -72,7 +72,36 @@ PackageEvaluator::PackageEvaluator(const ItemTable* table,
     : table_(table),
       profile_(profile),
       phi_(phi),
-      norm_(ComputeNormalizer(*table, *profile, phi)) {}
+      norm_(ComputeNormalizer(*table, *profile, phi)) {
+  const std::size_t m = profile->num_features();
+  const std::size_t n = table->num_items();
+  ascending_ids_.resize(m);
+  ascending_values_.resize(m);
+  null_count_.assign(m, 0);
+  // Values are finite (ItemTable validates them, and EffectiveValue maps
+  // nulls to finite values), so the (value, id) pair order is total and
+  // std::sort's result is unique.
+  std::vector<std::pair<double, ItemId>> keyed(n);
+  for (std::size_t f = 0; f < m; ++f) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (table->is_null(static_cast<ItemId>(i), f)) ++null_count_[f];
+    }
+    const AggregateOp op = profile->op(f);
+    if (op == AggregateOp::kNull) continue;
+    const double max_value = table->MaxFeatureValue(f);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto id = static_cast<ItemId>(i);
+      keyed[i] = {EffectiveValue(table->value(id, f), op, max_value), id};
+    }
+    std::sort(keyed.begin(), keyed.end());
+    ascending_ids_[f].resize(n);
+    ascending_values_[f].resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ascending_values_[f][i] = keyed[i].first;
+      ascending_ids_[f][i] = keyed[i].second;
+    }
+  }
+}
 
 Vec PackageEvaluator::FeatureVector(const Package& package) const {
   AggregateState state(profile_, &norm_);

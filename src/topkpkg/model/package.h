@@ -139,8 +139,25 @@ class AggregateState {
   Vec data_;
 };
 
+// Effective per-list value of an item on a feature aggregated by `op`: the
+// value that both drives the sorted-list access order and enters the
+// search's boundary item τ. Nulls behave like 0 for sum/avg/max (they
+// contribute nothing) and like the feature maximum `max_value` for min (they
+// leave the minimum untouched, which is the best possible behaviour when a
+// large minimum is desired and the worst when a small one is).
+inline double EffectiveValue(double v, AggregateOp op, double max_value) {
+  if (!IsNull(v)) return v;
+  return op == AggregateOp::kMin ? max_value : 0.0;
+}
+
 // Binds an ItemTable, Profile and maximum package size φ together with the
 // induced normalizer, and evaluates package feature vectors and utilities.
+// It is also the catalog's search index: the constructor sorts each
+// feature's items once (Sec. 4: "to facilitate efficient processing over
+// different weight vectors, we order items based on their utility w.r.t.
+// each individual feature") and counts its nulls, and every
+// topk::TopKPkgSearch over this evaluator — any weight vector, any session,
+// any thread — reads those immutable lists instead of sorting its own copy.
 // The table and profile must outlive the evaluator.
 class PackageEvaluator {
  public:
@@ -162,11 +179,29 @@ class PackageEvaluator {
   // Fresh empty aggregate state bound to this evaluator's profile/normalizer.
   AggregateState NewState() const;
 
+  // The search index of feature `f`: every item id ascending by its
+  // EffectiveValue on f (ties by ascending id), and those values in the
+  // same order. Both are empty for a null-profiled feature, which no search
+  // reads.
+  const std::vector<ItemId>& ascending_ids(std::size_t f) const {
+    return ascending_ids_[f];
+  }
+  const Vec& ascending_values(std::size_t f) const {
+    return ascending_values_[f];
+  }
+  // Items whose value on feature `f` is null. The search's null-aware bound
+  // relaxation applies only to nullable columns, and a walk re-tightens it
+  // once it has accessed this many null items.
+  std::size_t null_count(std::size_t f) const { return null_count_[f]; }
+
  private:
   const ItemTable* table_;
   const Profile* profile_;
   std::size_t phi_;
   Normalizer norm_;
+  std::vector<std::vector<ItemId>> ascending_ids_;
+  std::vector<Vec> ascending_values_;
+  std::vector<std::size_t> null_count_;
 };
 
 }  // namespace topkpkg::model

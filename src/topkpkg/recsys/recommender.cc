@@ -679,21 +679,43 @@ Status PackageRecommender::Restore(const storage::SessionStore& store,
   TOPKPKG_ASSIGN_OR_RETURN(
       std::string cache_bytes,
       unwrap(storage::kKindTopListCache, "top-list-cache"));
+  ranking::IncrementalRanker ranker(evaluator_);
+  TOPKPKG_RETURN_IF_ERROR(
+      storage::DecodeTopListCacheInto(cache_bytes, prior_->dim(), ranker));
+  // Nor do the package decoders know the catalog: a cached package's items
+  // are read row by row when the next round scores it, and the meta
+  // record's top-k is served as is, so an item id past the item table is
+  // refused here (package items are sorted; the last is the largest).
+  const std::size_t num_items = evaluator_->table().num_items();
+  auto out_of_catalog = [&](const char* what,
+                            const model::Package& p) -> Status {
+    if (p.empty() || p.items().back() < num_items) return Status::OK();
+    return Status::FailedPrecondition(
+        std::string("PackageRecommender::Restore: ") + what +
+        " record names item " + std::to_string(p.items().back()) +
+        " but the catalog has " + std::to_string(num_items) + " items");
+  };
+  for (const model::Package& p : top_k) {
+    TOPKPKG_RETURN_IF_ERROR(out_of_catalog("meta", p));
+  }
+  for (const auto& [id, list] : ranker.Snapshot().entries) {
+    for (const topk::ScoredPackage& sp : list->packages) {
+      TOPKPKG_RETURN_IF_ERROR(out_of_catalog("top-list-cache", sp.package));
+    }
+  }
   TOPKPKG_ASSIGN_OR_RETURN(
       std::string history_bytes,
       unwrap(storage::kKindRoundHistory, "round-history"));
   TOPKPKG_ASSIGN_OR_RETURN(std::vector<RoundLog> history,
                            storage::DecodeRoundHistory(history_bytes));
 
-  // Everything parsed; commit. The rng state is validated into a local
-  // first and the cache decode (the last step that can fail — it parses
-  // fully before touching the ranker) runs before any member is
-  // overwritten, so a failed Restore leaves the recommender exactly as it
-  // was — never a mix of two sessions.
+  // Everything parsed and checked; commit. The rng state is validated into
+  // a local first and the cache was decoded into a local ranker, so a
+  // failed Restore leaves the recommender exactly as it was — never a mix
+  // of two sessions.
   Rng restored_rng(0);
   TOPKPKG_RETURN_IF_ERROR(restored_rng.LoadState(rng_state));
-  TOPKPKG_RETURN_IF_ERROR(
-      storage::DecodeTopListCacheInto(cache_bytes, prior_->dim(), ranker_));
+  ranker_ = std::move(ranker);
   rng_ = restored_rng;
   feedback_ = std::move(feedback);
   pool_ = std::move(pool);

@@ -68,7 +68,6 @@ SearchMetricsT& SearchMetrics() {
 using model::AggregateOp;
 using model::AggregatePlan;
 using model::AggregateState;
-using model::IsNull;
 using model::ItemId;
 using model::Package;
 using model::PackageEvaluator;
@@ -125,17 +124,6 @@ class TopKCollector {
   std::size_t k_;
   std::vector<ScoredPackage> best_;
 };
-
-// Effective per-list value of an item on feature f: the value that both
-// drives the sorted-list access order and enters the boundary item τ. Nulls
-// behave like 0 for sum/avg/max (they contribute nothing) and like the
-// feature maximum for min (they leave the minimum untouched, which is the
-// best possible behaviour when a large minimum is desired and the worst when
-// a small one is).
-double EffectiveValue(double v, AggregateOp op, double max_value) {
-  if (!IsNull(v)) return v;
-  return op == AggregateOp::kMin ? max_value : 0.0;
-}
 
 }  // namespace
 
@@ -250,41 +238,6 @@ double UpperExp(const AggregateState& state, const Vec& tau_row,
   return model::AggTauPaddedBound(plan, state.stripes(), state.size(),
                                   tau_row.data(), slots, set_monotone,
                                   pad.data());
-}
-
-TopKPkgSearch::TopKPkgSearch(const model::PackageEvaluator* evaluator)
-    : evaluator_(evaluator) {
-  const model::ItemTable& table = evaluator->table();
-  const model::Profile& profile = evaluator->profile();
-  const std::size_t m = profile.num_features();
-  const std::size_t n = table.num_items();
-  ascending_ids_.resize(m);
-  ascending_values_.resize(m);
-  feature_has_null_.assign(m, 0);
-  feature_null_count_.assign(m, 0);
-  for (std::size_t f = 0; f < m; ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (table.is_null(static_cast<ItemId>(i), f)) ++feature_null_count_[f];
-    }
-    feature_has_null_[f] = feature_null_count_[f] > 0 ? 1 : 0;
-    if (profile.op(f) == AggregateOp::kNull) continue;
-    const double max_value = table.MaxFeatureValue(f);
-    std::vector<ItemId> ids(n);
-    Vec evals(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ids[i] = static_cast<ItemId>(i);
-      evals[i] = EffectiveValue(table.value(static_cast<ItemId>(i), f),
-                                profile.op(f), max_value);
-    }
-    std::sort(ids.begin(), ids.end(), [&](ItemId a, ItemId b) {
-      if (evals[a] != evals[b]) return evals[a] < evals[b];
-      return a < b;
-    });
-    Vec sorted_vals(n);
-    for (std::size_t i = 0; i < n; ++i) sorted_vals[i] = evals[ids[i]];
-    ascending_ids_[f] = std::move(ids);
-    ascending_values_[f] = std::move(sorted_vals);
-  }
 }
 
 std::string AccessSignature(const model::Profile& profile, const Vec& w) {
@@ -960,10 +913,10 @@ void TopKPkgSearch::Walk(SearchScratch& s, const Vec& w0,
     // (SearchKernel::RetightenNulls), seeded from the per-feature null
     // census here.
     s.relax_[a] = model::AggNeedsNullRelaxation(s.op_[a], s.weight_[a],
-                                                feature_has_null_[f] != 0)
+                                                ev.null_count(f) > 0)
                       ? 1
                       : 0;
-    s.null_left_[a] = s.relax_[a] != 0 ? feature_null_count_[f] : 0;
+    s.null_left_[a] = s.relax_[a] != 0 ? ev.null_count(f) : 0;
     if (s.relax_[a] != 0) ++s.relaxed_active_;
   }
   s.meta_.clear();
@@ -987,24 +940,25 @@ void TopKPkgSearch::Walk(SearchScratch& s, const Vec& w0,
     s.generation_ = 1;
   }
 
-  // Sorted lists L: the precomputed ascending per-feature orders, walked
+  // Sorted lists L: the evaluator's ascending per-feature orders, walked
   // backwards for positive weights (descending desirability) and forwards
   // for negative ones ("a sorted list can be accessed both forwards and
   // backwards", Sec. 4).
-  auto order_id = [&](std::size_t li, std::size_t pos) {
-    const std::size_t f = s.active_[li];
-    return w0[f] > 0.0 ? ascending_ids_[f][n - 1 - pos]
-                       : ascending_ids_[f][pos];
-  };
-  auto order_value = [&](std::size_t li, std::size_t pos) {
-    const std::size_t f = s.active_[li];
-    return w0[f] > 0.0 ? ascending_values_[f][n - 1 - pos]
-                       : ascending_values_[f][pos];
-  };
-
+  //
   // Boundary item τ: per active feature the effective value at the list
   // frontier (initialized to the best value, an upper bound on every item).
-  for (std::size_t li = 0; li < na; ++li) s.tau_[li] = order_value(li, 0);
+  s.lists_.resize(na);
+  for (std::size_t li = 0; li < na; ++li) {
+    const std::size_t f = s.active_[li];
+    const bool backward = w0[f] > 0.0;
+    SearchScratch::ListView& list = s.lists_[li];
+    list.ids = ev.ascending_ids(f).data();
+    list.values = ev.ascending_values(f).data();
+    list.first = backward ? static_cast<std::ptrdiff_t>(n) - 1 : 0;
+    list.step = backward ? -1 : 1;
+    s.tau_[li] = list.values[list.first];
+  }
+  const SearchScratch::ListView* const lists = s.lists_.data();
 
   const bool set_monotone = model::IsSetMonotone(profile, w0);
   SearchKernel kernel(s);
@@ -1062,8 +1016,11 @@ void TopKPkgSearch::Walk(SearchScratch& s, const Vec& w0,
         exit_lanes(live, true);
         break;
       }
-      const ItemId t = order_id(li, s.cursor_[li]);
-      s.tau_[li] = order_value(li, s.cursor_[li]);
+      const SearchScratch::ListView& list = lists[li];
+      const std::ptrdiff_t at =
+          list.first + list.step * static_cast<std::ptrdiff_t>(s.cursor_[li]);
+      const ItemId t = list.ids[at];
+      s.tau_[li] = list.values[at];
       ++s.cursor_[li];
       ++items_accessed;
       if (s.seen_[t] == s.generation_) continue;

@@ -123,6 +123,17 @@ class SearchScratch {
   std::vector<double> scale_;
   std::vector<double> tau_;  // Boundary item τ, effective values.
   std::vector<std::size_t> cursor_;
+  // Per active feature: the evaluator's sorted list in this walk's access
+  // order, resolved once per walk so the item loop reads access `pos` with
+  // one indexed load, ids[first + step * pos], and no lookups through the
+  // evaluator.
+  struct ListView {
+    const model::ItemId* ids;
+    const double* values;
+    std::ptrdiff_t first;  // Index of the first access.
+    std::ptrdiff_t step;   // +1 forwards, -1 backwards.
+  };
+  std::vector<ListView> lists_;
 
   // Null-aware bound relaxation: flags the min-aggregated negative-weight
   // features over nullable columns whose count-0 contribution (exactly 0)
@@ -236,13 +247,14 @@ std::string AccessSignature(const model::Profile& profile, const Vec& w);
 // best utility η_lo.
 class TopKPkgSearch {
  public:
-  // `evaluator` must outlive the search object. The constructor pre-sorts
-  // the per-feature item lists once (Sec. 4: "to facilitate efficient
-  // processing over different weight vectors, we order items based on their
-  // utility w.r.t. each individual feature"); Search() then walks them
-  // forwards or backwards depending on the weight signs, so repeated
-  // searches over many sampled weight vectors pay no re-sorting cost.
-  explicit TopKPkgSearch(const model::PackageEvaluator* evaluator);
+  // `evaluator` must outlive the search object. Construction is
+  // constant-time: the search is a view over the per-feature item lists the
+  // evaluator sorted once for its catalog (PackageEvaluator::ascending_ids,
+  // Sec. 4), which Search() walks forwards or backwards depending on the
+  // weight signs — so no search, and no session, pays a sorting cost, and
+  // every search object over one evaluator shares one copy of the lists.
+  explicit TopKPkgSearch(const model::PackageEvaluator* evaluator)
+      : evaluator_(evaluator) {}
 
   // Sec. 7 extension: an optional schema predicate over candidate packages
   // ("at least two books must be novels"). Non-passing packages are still
@@ -299,18 +311,6 @@ class TopKPkgSearch {
             LaneArgs&&... lane_args) const;
 
   const model::PackageEvaluator* evaluator_;
-  // Per feature: item ids ascending by "effective" value (nulls folded per
-  // aggregate semantics) plus the parallel value array.
-  std::vector<std::vector<model::ItemId>> ascending_ids_;
-  std::vector<Vec> ascending_values_;
-  // Per feature: 1 iff the column contains any null value. Nullable
-  // min-aggregated features with negative weight need the null-aware bound
-  // relaxation (a count-0 min contributes 0, which no τ padding represents);
-  // null-free columns keep the tighter plain τ arithmetic.
-  std::vector<std::uint8_t> feature_has_null_;
-  // Per feature: total null items, seeding the walk's remaining-unseen-null
-  // counters so the relaxation can re-tighten once the last null is accessed.
-  std::vector<std::size_t> feature_null_count_;
 };
 
 // Algorithm 3 (`upper-exp`): upper-bounds the utility achievable by

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -305,6 +306,32 @@ class ShortVectorFixture : public CheckpointFixture {
     ASSERT_TRUE(store.Put(7, storage::GenSlotKind(kind, 1), record).ok());
   }
 
+  // Re-encodes session 7's committed top-list cache with `edit` applied to
+  // every cached list.
+  void RewriteCachedLists(
+      storage::SessionStore& store,
+      const std::function<void(ranking::SampleTopList&)>& edit) {
+    auto committed = store.Get(
+        7, storage::GenSlotKind(storage::kKindTopListCache, /*seq=*/1));
+    ASSERT_TRUE(committed.ok()) << committed.status();
+    const std::string payload = committed->substr(sizeof(std::uint64_t));
+    ranking::IncrementalRanker decoded(evaluator_.get());
+    ASSERT_TRUE(
+        storage::DecodeTopListCacheInto(payload, prior_->dim(), decoded).ok());
+    const ranking::IncrementalRanker::CacheSnapshot snap = decoded.Snapshot();
+    ASSERT_FALSE(snap.entries.empty());
+    std::vector<std::pair<sampling::SampleId, ranking::SampleTopList>> entries;
+    for (const auto& [id, list] : snap.entries) {
+      entries.emplace_back(id, *list);
+      edit(entries.back().second);
+    }
+    ranking::IncrementalRanker edited(evaluator_.get());
+    edited.RestoreSnapshot(snap.has_options, snap.options, snap.epoch,
+                           std::move(entries));
+    RewriteCommitted(store, storage::kKindTopListCache,
+                     storage::EncodeTopListCache(edited));
+  }
+
   void ExpectRefusedAndUntouched(storage::SessionStore& store,
                                  const std::string& record) {
     auto restored = NewRecommender(DefaultOptions(), 11);
@@ -356,26 +383,61 @@ TEST_F(ShortVectorFixture, RestoreRejectsShortCachedVectors) {
   auto store = storage::SessionStore::Open(TempStorePath("short_cache"));
   ASSERT_TRUE(store.ok()) << store.status();
   CheckpointTwoRounds(*store);
-  auto committed = store->Get(
-      7, storage::GenSlotKind(storage::kKindTopListCache, /*seq=*/1));
-  ASSERT_TRUE(committed.ok()) << committed.status();
-  const std::string payload = committed->substr(sizeof(std::uint64_t));
-  ranking::IncrementalRanker decoded(evaluator_.get());
-  ASSERT_TRUE(
-      storage::DecodeTopListCacheInto(payload, prior_->dim(), decoded).ok());
-  const ranking::IncrementalRanker::CacheSnapshot snap = decoded.Snapshot();
-  ASSERT_FALSE(snap.entries.empty());
-  std::vector<std::pair<sampling::SampleId, ranking::SampleTopList>> entries;
-  for (const auto& [id, list] : snap.entries) {
-    entries.emplace_back(id, *list);
-    entries.back().second.w.pop_back();
-  }
-  ranking::IncrementalRanker shortened(evaluator_.get());
-  shortened.RestoreSnapshot(snap.has_options, snap.options, snap.epoch,
-                            std::move(entries));
-  RewriteCommitted(*store, storage::kKindTopListCache,
-                   storage::EncodeTopListCache(shortened));
+  RewriteCachedLists(*store,
+                     [](ranking::SampleTopList& list) { list.w.pop_back(); });
   ExpectRefusedAndUntouched(*store, "top-list-cache");
+}
+
+// A CRC-valid cache record whose cached packages name an item id past the
+// catalog (the first id out, 40 of 40): such a restore used to succeed, and
+// the next round's EXP scoring read the item's row past the end of the item
+// table.
+TEST_F(ShortVectorFixture, RestoreRejectsOutOfCatalogCachedItems) {
+  auto store = storage::SessionStore::Open(TempStorePath("item_cache"));
+  ASSERT_TRUE(store.ok()) << store.status();
+  CheckpointTwoRounds(*store);
+  const auto past_end = static_cast<model::ItemId>(table_->num_items());
+  RewriteCachedLists(*store, [&](ranking::SampleTopList& list) {
+    ASSERT_FALSE(list.packages.empty());
+    list.packages[0].package = list.packages[0].package.With(past_end);
+  });
+  ExpectRefusedAndUntouched(*store, "top-list-cache record names item 40");
+}
+
+// The same for the current top-k in the meta record, which GetTopK serves
+// as is.
+TEST_F(ShortVectorFixture, RestoreRejectsOutOfCatalogTopK) {
+  auto store = storage::SessionStore::Open(TempStorePath("item_meta"));
+  ASSERT_TRUE(store.ok()) << store.status();
+  CheckpointTwoRounds(*store);
+  auto meta = store->Get(7, storage::kKindRecommenderMeta);
+  ASSERT_TRUE(meta.ok()) << meta.status();
+  // Meta layout: u8 version, u64 sequence, fingerprint, rng state, then the
+  // current top-k as a u32 count of packages; the rest is copied as is.
+  ByteReader r(*meta);
+  ByteWriter w;
+  auto version = r.GetU8();
+  auto seq = r.GetU64();
+  auto fingerprint = r.GetString();
+  auto rng_state = r.GetString();
+  auto count = r.GetU32();
+  ASSERT_TRUE(version.ok() && seq.ok() && fingerprint.ok() && rng_state.ok() &&
+              count.ok());
+  ASSERT_GT(*count, 0u);
+  w.PutU8(*version);
+  w.PutU64(*seq);
+  w.PutString(*fingerprint);
+  w.PutString(*rng_state);
+  w.PutU32(*count);
+  const auto past_end = static_cast<model::ItemId>(table_->num_items());
+  for (std::uint32_t i = 0; i < *count; ++i) {
+    auto p = storage::GetPackage(r);
+    ASSERT_TRUE(p.ok()) << p.status();
+    storage::PutPackage(w, i == 0 ? p->With(past_end) : *p);
+  }
+  const std::string rewritten = w.bytes() + meta->substr(r.position());
+  ASSERT_TRUE(store->Put(7, storage::kKindRecommenderMeta, rewritten).ok());
+  ExpectRefusedAndUntouched(*store, "meta record names item 40");
 }
 
 // The meta record's config fingerprint for library-default options, pinned
