@@ -7,6 +7,21 @@
 
 namespace topkpkg::model {
 
+namespace {
+
+// Effective per-list value of an item on a feature aggregated by `op`: the
+// value that both drives the sorted-list access order and enters the
+// search's boundary item τ. Nulls behave like 0 for sum/avg/max (they
+// contribute nothing) and like the feature maximum `max_value` for min (they
+// leave the minimum untouched, which is the best possible behaviour when a
+// large minimum is desired and the worst when a small one is).
+double EffectiveValue(double v, AggregateOp op, double max_value) {
+  if (!IsNull(v)) return v;
+  return op == AggregateOp::kMin ? max_value : 0.0;
+}
+
+}  // namespace
+
 Package Package::Of(std::vector<ItemId> items) {
   std::sort(items.begin(), items.end());
   items.erase(std::unique(items.begin(), items.end()), items.end());

@@ -139,17 +139,6 @@ class AggregateState {
   Vec data_;
 };
 
-// Effective per-list value of an item on a feature aggregated by `op`: the
-// value that both drives the sorted-list access order and enters the
-// search's boundary item τ. Nulls behave like 0 for sum/avg/max (they
-// contribute nothing) and like the feature maximum `max_value` for min (they
-// leave the minimum untouched, which is the best possible behaviour when a
-// large minimum is desired and the worst when a small one is).
-inline double EffectiveValue(double v, AggregateOp op, double max_value) {
-  if (!IsNull(v)) return v;
-  return op == AggregateOp::kMin ? max_value : 0.0;
-}
-
 // Binds an ItemTable, Profile and maximum package size φ together with the
 // induced normalizer, and evaluates package feature vectors and utilities.
 // It is also the catalog's search index: the constructor sorts each
@@ -180,9 +169,10 @@ class PackageEvaluator {
   AggregateState NewState() const;
 
   // The search index of feature `f`: every item id ascending by its
-  // EffectiveValue on f (ties by ascending id), and those values in the
-  // same order. Both are empty for a null-profiled feature, which no search
-  // reads.
+  // effective value on f (ties by ascending id), and those values in the
+  // same order. An effective value is the item's value with nulls folded
+  // per aggregate (see EffectiveValue in package.cc). Both are empty for a
+  // null-profiled feature, which no search reads.
   const std::vector<ItemId>& ascending_ids(std::size_t f) const {
     return ascending_ids_[f];
   }
