@@ -128,10 +128,10 @@ class SearchScratch {
   // one indexed load, ids[first + step * pos], and no lookups through the
   // evaluator.
   struct ListView {
-    const model::ItemId* ids;
-    const double* values;
-    std::ptrdiff_t first;  // Index of the first access.
-    std::ptrdiff_t step;   // +1 forwards, -1 backwards.
+    const model::ItemId* ids = nullptr;
+    const double* values = nullptr;
+    std::ptrdiff_t first = 0;  // Index of the first access.
+    std::ptrdiff_t step = 1;   // +1 forwards, -1 backwards.
   };
   std::vector<ListView> lists_;
 
