@@ -76,12 +76,7 @@ int RunRankerComparison() {
 
     // Warm the cache with the initial pool (the steady-state serving regime
     // Sec. 3.4 amortizes into; the from-scratch engine has no warm state).
-    sampling::PoolDelta initial_delta;
-    for (const auto& s : pool.samples()) {
-      initial_delta.added_ids.push_back(s.id);
-    }
-    auto warm = incremental.Rank(pool, initial_delta,
-                                 ranking::Semantics::kExp, ropts);
+    auto warm = incremental.Rank(pool, ranking::Semantics::kExp, ropts);
     if (!warm.ok()) {
       std::cerr << warm.status() << "\n";
       return 1;
@@ -104,9 +99,8 @@ int RunRankerComparison() {
         }
         fresh = std::move(drawn).value();
       }
-      sampling::PoolDelta delta = pool.Replace(
-          rng.SampleWithoutReplacement(kPool, violators_per_round),
-          std::move(fresh));
+      pool.Replace(rng.SampleWithoutReplacement(kPool, violators_per_round),
+                   std::move(fresh));
 
       Timer t_scratch;
       auto from_scratch =
@@ -115,8 +109,8 @@ int RunRankerComparison() {
 
       Timer t_incr;
       ranking::IncrementalRankStats stats;
-      auto incr = incremental.Rank(pool, delta, ranking::Semantics::kExp,
-                                   ropts, &stats);
+      auto incr =
+          incremental.Rank(pool, ranking::Semantics::kExp, ropts, &stats);
       incr_s += t_incr.ElapsedSeconds();
 
       if (!from_scratch.ok() || !incr.ok()) {

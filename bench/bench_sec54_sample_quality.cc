@@ -83,8 +83,10 @@ int Run() {
       std::cerr << per_sample.status() << "\n";
       return 1;
     }
+    std::vector<const ranking::SampleTopList*> per_sample_ptrs;
+    for (const auto& list : *per_sample) per_sample_ptrs.push_back(&list);
     for (auto sem : semantics) {
-      auto result = ranker.Aggregate(*per_sample, sem, opts);
+      auto result = ranker.Aggregate(*samples, per_sample_ptrs, sem, opts);
       lists[std::string(recsys::SamplerKindName(kind)) + "/" +
             ranking::SemanticsName(sem)] = TopKeys(result);
     }

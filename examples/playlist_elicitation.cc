@@ -42,7 +42,7 @@ int main() {
   // every violating sample.
   opts.sampler_base.noise.psi = 0.85;
   // Schema predicate (Sec. 7): a playlist needs at least 3 songs.
-  opts.package_filter = [](const model::Package& p) {
+  opts.ranking.package_filter = [](const model::Package& p) {
     return p.size() >= 3;
   };
   auto rec = recsys::PackageRecommender::Create(&evaluator, &prior, opts,

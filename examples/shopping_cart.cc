@@ -71,9 +71,11 @@ int main() {
     return out + "}";
   };
 
+  std::vector<const ranking::SampleTopList*> list_ptrs;
+  for (const auto& list : *lists) list_ptrs.push_back(&list);
   for (auto sem : {ranking::Semantics::kExp, ranking::Semantics::kTkp,
                    ranking::Semantics::kMpo}) {
-    auto result = ranker.Aggregate(*lists, sem, opts);
+    auto result = ranker.Aggregate(*samples, list_ptrs, sem, opts);
     std::cout << "Top carts under " << ranking::SemanticsName(sem) << ":\n";
     for (const auto& rp : result.packages) {
       std::cout << "  " << describe(rp.package) << "  score " << rp.score

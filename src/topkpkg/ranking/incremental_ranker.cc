@@ -60,13 +60,6 @@ void IncrementalRanker::RestoreSnapshot(
   epoch_ = epoch;
 }
 
-bool IncrementalRanker::UpdateWeight(sampling::SampleId id, double weight) {
-  auto it = cache_.find(id);
-  if (it == cache_.end()) return false;
-  it->second.weight = weight;
-  return true;
-}
-
 void IncrementalRanker::InvalidateAll() {
   cache_.clear();
   has_cached_options_ = false;
@@ -74,7 +67,6 @@ void IncrementalRanker::InvalidateAll() {
 }
 
 Result<RankingResult> IncrementalRanker::Rank(const sampling::SamplePool& pool,
-                                              const sampling::PoolDelta& delta,
                                               Semantics semantics,
                                               const RankingOptions& options,
                                               IncrementalRankStats* stats) {
@@ -91,17 +83,26 @@ Result<RankingResult> IncrementalRanker::Rank(const sampling::SamplePool& pool,
     has_cached_options_ = true;
   }
 
-  for (sampling::SampleId id : delta.removed_ids) {
-    local.evicted += cache_.erase(id);
-  }
-
-  // Everything the cache doesn't cover — the delta's added samples plus, if
-  // the cache was just invalidated, the whole pool — gets searched in one
-  // ComputeSampleLists call so it shares the dedup + batching machinery.
+  // One walk over the pool moves every cached list it still needs into
+  // live_ and collects what the cache doesn't cover — new samples plus, if
+  // the cache was just invalidated, the whole pool. Entries left behind
+  // belong to samples that left the pool and are dropped.
   std::vector<const sampling::WeightedSample*> missing;
+  live_.reserve(pool.size());
   for (const auto& s : pool.samples()) {
-    if (cache_.find(s.id) == cache_.end()) missing.push_back(&s);
+    auto node = cache_.extract(s.id);
+    if (node.empty()) {
+      missing.push_back(&s);
+    } else {
+      live_.insert(std::move(node));
+    }
   }
+  local.evicted = cache_.size();
+  cache_.clear();
+  cache_.swap(live_);
+
+  // The missing samples get searched in one ComputeSampleLists call so they
+  // share the dedup + batching machinery.
   if (!missing.empty()) {
     SearchDedupStats dedup;
     TOPKPKG_ASSIGN_OR_RETURN(
@@ -128,7 +129,7 @@ Result<RankingResult> IncrementalRanker::Rank(const sampling::SamplePool& pool,
   m.cache_hits->Increment(local.searches_skipped);
   m.cache_evictions->Increment(local.evicted);
   if (local.cache_invalidated) m.cache_invalidations->Increment();
-  return base_.Aggregate(lists, semantics, options);
+  return base_.Aggregate(pool.samples(), lists, semantics, options);
 }
 
 }  // namespace topkpkg::ranking

@@ -18,7 +18,8 @@ struct IncrementalRankStats {
   std::size_t searches_skipped = 0;  // Samples served from the cache.
   std::size_t searches_deduped = 0;  // Cache-missing duplicates served by the
                                      // unique-weight memo (no own search).
-  std::size_t evicted = 0;           // Cache entries dropped via the delta.
+  std::size_t evicted = 0;           // Cache entries of samples that left
+                                     // the pool, dropped this call.
   bool cache_invalidated = false;    // The whole cache was cleared this call.
 };
 
@@ -42,13 +43,11 @@ class IncrementalRanker {
   explicit IncrementalRanker(const model::PackageEvaluator* evaluator)
       : base_(evaluator) {}
 
-  // Ranks the whole pool. `delta` is the mutation that produced the pool's
-  // current state: its removed_ids are evicted, and any pool sample without
-  // a cache entry (the delta's added samples, or everything after an
-  // invalidation) is searched via the same deduplicated, batched path
-  // PackageRanker uses.
+  // Ranks the whole pool. Cache entries whose id is no longer in the pool
+  // are dropped, and any pool sample without a cache entry (new samples, or
+  // everything after an invalidation) is searched via the same
+  // deduplicated, batched path PackageRanker uses.
   Result<RankingResult> Rank(const sampling::SamplePool& pool,
-                             const sampling::PoolDelta& delta,
                              Semantics semantics,
                              const RankingOptions& options,
                              IncrementalRankStats* stats = nullptr);
@@ -96,16 +95,16 @@ class IncrementalRanker {
       bool has_options, const CacheKeyOptions& options, std::uint64_t epoch,
       std::vector<std::pair<sampling::SampleId, SampleTopList>> entries);
 
-  // Overwrites the cached importance weight for `id` (survivor reweighting
-  // under a changed proposal): a cached top list depends only on the
-  // sample's weight *vector*, so the list stays valid and only the
-  // aggregation-side weight needs the update. False when `id` is not
-  // cached.
-  bool UpdateWeight(sampling::SampleId id, double weight);
-
  private:
+  using Cache = std::unordered_map<sampling::SampleId, SampleTopList>;
+
   PackageRanker base_;
-  std::unordered_map<sampling::SampleId, SampleTopList> cache_;
+  Cache cache_;
+  // Empty between calls. Rank moves each pool sample's entry here and swaps
+  // the maps, so whatever stayed behind belonged to samples that left the
+  // pool; both maps keep their buckets, so steady-state rounds allocate
+  // nothing for this.
+  Cache live_;
   CacheKeyOptions cached_options_;
   bool has_cached_options_ = false;
   std::uint64_t epoch_ = 0;

@@ -147,31 +147,21 @@ Result<std::vector<SampleTopList>> PackageRanker::ComputeSampleLists(
     SampleTopList list;
     list.packages = last_use[unique_of[i]] == i ? std::move(res->packages)
                                                 : res->packages;
-    list.w = samples[i]->w;
-    list.weight = samples[i]->weight;
     list.truncated = res->truncated;
     lists.push_back(std::move(list));
   }
   return lists;
 }
 
-RankingResult PackageRanker::Aggregate(const std::vector<SampleTopList>& lists,
-                                       Semantics semantics,
-                                       const RankingOptions& options) const {
-  std::vector<const SampleTopList*> ptrs;
-  ptrs.reserve(lists.size());
-  for (const SampleTopList& l : lists) ptrs.push_back(&l);
-  return Aggregate(ptrs, semantics, options);
-}
-
 RankingResult PackageRanker::Aggregate(
+    const std::vector<sampling::WeightedSample>& samples,
     const std::vector<const SampleTopList*>& lists, Semantics semantics,
     const RankingOptions& options) const {
   RankingResult result;
   double total_weight = 0.0;
-  for (const SampleTopList* l : lists) {
-    total_weight += l->weight;
-    result.any_truncated = result.any_truncated || l->truncated;
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    total_weight += samples[i].weight;
+    result.any_truncated = result.any_truncated || lists[i]->truncated;
   }
   if (total_weight <= 0.0) return result;
 
@@ -196,10 +186,10 @@ RankingResult PackageRanker::Aggregate(
       // winner cannot be missed) avoids that bias at the same cost. That
       // search takes the package filter like the per-sample ones, so every
       // candidate has passed it.
-      Vec mean_w(lists[0]->w.size(), 0.0);
-      for (const SampleTopList* l : lists) {
+      Vec mean_w(samples[0].w.size(), 0.0);
+      for (std::size_t i = 0; i < lists.size(); ++i) {
         for (std::size_t f = 0; f < mean_w.size(); ++f) {
-          mean_w[f] += l->weight * l->w[f];
+          mean_w[f] += samples[i].weight * samples[i].w[f];
         }
       }
       for (double& v : mean_w) v /= total_weight;
@@ -231,10 +221,11 @@ RankingResult PackageRanker::Aggregate(
     case Semantics::kTkp: {
       // Count (weighted) how often each package lands in the sample's top-σ.
       std::unordered_map<Package, double, PackageHash> counter;
-      for (const SampleTopList* l : lists) {
+      for (std::size_t s = 0; s < lists.size(); ++s) {
+        const SampleTopList* l = lists[s];
         for (std::size_t i = 0;
              i < std::min(l->packages.size(), options.sigma); ++i) {
-          counter[l->packages[i].package] += l->weight;
+          counter[l->packages[i].package] += samples[s].weight;
         }
       }
       std::vector<RankedPackage> ranked;
@@ -252,7 +243,8 @@ RankingResult PackageRanker::Aggregate(
         const SampleTopList* exemplar = nullptr;
       };
       std::unordered_map<std::string, ListStat> counter;
-      for (const SampleTopList* l : lists) {
+      for (std::size_t s = 0; s < lists.size(); ++s) {
+        const SampleTopList* l = lists[s];
         std::string key;
         for (std::size_t i = 0; i < std::min(l->packages.size(), options.k);
              ++i) {
@@ -260,7 +252,7 @@ RankingResult PackageRanker::Aggregate(
           key += '|';
         }
         ListStat& st = counter[key];
-        st.weight += l->weight;
+        st.weight += samples[s].weight;
         if (st.exemplar == nullptr) st.exemplar = l;
       }
       const ListStat* best = nullptr;
@@ -291,7 +283,10 @@ Result<RankingResult> PackageRanker::Rank(
     const RankingOptions& options, SearchDedupStats* dedup) const {
   TOPKPKG_ASSIGN_OR_RETURN(std::vector<SampleTopList> lists,
                            ComputeSampleLists(samples, options, dedup));
-  return Aggregate(lists, semantics, options);
+  std::vector<const SampleTopList*> ptrs;
+  ptrs.reserve(lists.size());
+  for (const SampleTopList& l : lists) ptrs.push_back(&l);
+  return Aggregate(samples, ptrs, semantics, options);
 }
 
 }  // namespace topkpkg::ranking

@@ -41,12 +41,11 @@ struct SearchDedupStats {
   std::size_t dedup_hits = 0;       // total_samples - unique_searches.
 };
 
-// The per-sample search output the rankers aggregate: the sample's top list
-// (length max(k, σ)) plus the sample's importance weight.
+// One sample's search output: its top list (length max(k, σ)). The
+// sample's weight vector and importance weight stay with the sample itself;
+// Aggregate reads them from there.
 struct SampleTopList {
   std::vector<topk::ScoredPackage> packages;
-  Vec w;                   // The sample's weight vector.
-  double weight = 1.0;     // The sample's importance weight.
   bool truncated = false;  // The underlying search hit a safety valve.
 };
 
@@ -90,15 +89,13 @@ class PackageRanker {
       const std::vector<const sampling::WeightedSample*>& samples,
       const RankingOptions& options, SearchDedupStats* dedup = nullptr) const;
 
-  // Pure aggregation of precomputed lists (Sec. 4's EXP/TKP/MPO logic).
-  RankingResult Aggregate(const std::vector<SampleTopList>& lists,
-                          Semantics semantics,
-                          const RankingOptions& options) const;
-
-  // Same aggregation over non-owning pointers, so callers that already hold
-  // the lists elsewhere (e.g. IncrementalRanker's top-list cache) can
-  // aggregate every round without copying them. Entries must be non-null.
-  RankingResult Aggregate(const std::vector<const SampleTopList*>& lists,
+  // Pure aggregation of precomputed lists (Sec. 4's EXP/TKP/MPO logic):
+  // `lists[i]` is `samples[i]`'s top list, whose weight vector and
+  // importance weight are read from `samples[i]`. The lists are non-owning
+  // pointers (non-null, one per sample), so callers that hold them elsewhere
+  // (e.g. IncrementalRanker's top-list cache) aggregate without copying.
+  RankingResult Aggregate(const std::vector<sampling::WeightedSample>& samples,
+                          const std::vector<const SampleTopList*>& lists,
                           Semantics semantics,
                           const RankingOptions& options) const;
 

@@ -130,6 +130,20 @@ Result<std::unique_ptr<PackageRecommender>> PackageRecommender::Create(
     return bad("ranking.sigma",
                "TKP ranks by top-sigma membership; sigma must be at least 1");
   }
+  // Every draw copies sampler_base over the samplers' nested `base`, so a
+  // value set there would be silently ignored.
+  auto is_default = [](const sampling::SamplerOptions& o) {
+    const sampling::SamplerOptions d;
+    return o.box_lo == d.box_lo && o.box_hi == d.box_hi &&
+           o.max_attempts_per_sample == d.max_attempts_per_sample &&
+           o.noise.psi == d.noise.psi;
+  };
+  const char* use_base =
+      "overwritten by sampler_base at every draw; set sampler_base instead";
+  if (!is_default(options.mcmc.base)) return bad("mcmc.base", use_base);
+  if (!is_default(options.importance.base)) {
+    return bad("importance.base", use_base);
+  }
   const sampling::SamplerOptions& base = options.sampler_base;
   if (!(base.box_lo < base.box_hi)) {
     return bad("sampler_base.box_lo/box_hi",
@@ -346,8 +360,8 @@ Result<ranking::RankingResult> PackageRecommender::RankIncremental(
       // scale. (Exact as Q_old → Q_new, the incremental-feedback regime —
       // is_reweight_test checks the resulting accepted distribution
       // against the full-redraw path's.) Cached top lists depend only on
-      // the weight *vector* and stay valid; only their aggregation-side
-      // weight is updated.
+      // the weight *vector* and stay valid; the ranking reads the new
+      // weights from the pool.
       // The reweight span folds into maintain_seconds (it is Sec. 3.4 pool
       // upkeep, not fresh sampling) while still appearing as its own span
       // in a sampled trace.
@@ -374,7 +388,6 @@ Result<ranking::RankingResult> PackageRecommender::RankIncremental(
       for (std::size_t i = 0; i < delta.surviving_ids.size(); ++i) {
         const double q = reweighter.ImportanceWeight(pool_.sample(i).w);
         pool_.set_weight(i, q);
-        ranker_.UpdateWeight(pool_.id(i), q);
       }
     }
     // Every maintenance branch above validated or evicted any previously
@@ -395,7 +408,7 @@ Result<ranking::RankingResult> PackageRecommender::RankIncremental(
   obs::ScopedSpan rank_span("rank");
   ranking::IncrementalRankStats rstats;
   Result<ranking::RankingResult> ranked =
-      ranker_.Rank(pool_, delta, options_.semantics, ropts, &rstats);
+      ranker_.Rank(pool_, options_.semantics, ropts, &rstats);
   log->rank_seconds = rank_span.Close();
   log->searches_skipped = rstats.searches_skipped;
   log->searches_deduped = rstats.searches_deduped;
@@ -418,7 +431,6 @@ Result<RoundLog> PackageRecommender::RunRound(const SimulatedUser& user) {
       sampling::ConstraintChecker::FromReduced(feedback_);
   ranking::RankingOptions ropts = options_.ranking;
   ropts.k = std::max<std::size_t>(ropts.k, options_.num_recommended);
-  ropts.package_filter = options_.package_filter;
   TOPKPKG_ASSIGN_OR_RETURN(ranking::RankingResult ranked,
                            RankIncremental(checker, ropts, &log));
   const RecsysMetrics& m = Metrics();
@@ -431,8 +443,8 @@ Result<RoundLog> PackageRecommender::RunRound(const SimulatedUser& user) {
   }
   m.phase_rank->Observe(log.rank_seconds);
 
-  // Every ranked package already passed options_.package_filter inside
-  // the searches (ropts carries it), under every semantics.
+  // Every ranked package already passed ropts.package_filter inside the
+  // searches, under every semantics.
   std::vector<model::Package> top_k;
   for (const auto& rp : ranked.packages) top_k.push_back(rp.package);
   log.top_k_overlap = TopKOverlap(current_top_k_, top_k);
@@ -450,7 +462,7 @@ Result<RoundLog> PackageRecommender::RunRound(const SimulatedUser& user) {
   while (log.presented.size() < log.num_recommended + options_.num_random) {
     model::Package p =
         pref::RandomPackage(n, evaluator_->phi(), rng_);
-    if (options_.package_filter && !options_.package_filter(p)) continue;
+    if (ropts.package_filter && !ropts.package_filter(p)) continue;
     // Avoid presenting duplicates.
     bool dup = false;
     for (const auto& q : log.presented) {
@@ -657,9 +669,9 @@ Status PackageRecommender::Restore(const storage::SessionStore& store,
   TOPKPKG_ASSIGN_OR_RETURN(sampling::SamplePool pool,
                            storage::DecodeSamplePool(pool_bytes));
   // The pool and preference-set decoders do not know the prior's
-  // dimension, so their vector lengths are checked here (the cache decode
-  // below is passed it): a wrong-length vector would make the next round
-  // read past a buffer.
+  // dimension, so their vector lengths are checked here: a wrong-length
+  // vector would make the next round read past a buffer. The cache record
+  // holds no vectors; its lists are aggregated with the pool's.
   auto wrong_dim = [&](const char* what, std::size_t got) {
     return Status::FailedPrecondition(
         std::string("PackageRecommender::Restore: ") + what +
@@ -680,8 +692,7 @@ Status PackageRecommender::Restore(const storage::SessionStore& store,
       std::string cache_bytes,
       unwrap(storage::kKindTopListCache, "top-list-cache"));
   ranking::IncrementalRanker ranker(evaluator_);
-  TOPKPKG_RETURN_IF_ERROR(
-      storage::DecodeTopListCacheInto(cache_bytes, prior_->dim(), ranker));
+  TOPKPKG_RETURN_IF_ERROR(storage::DecodeTopListCacheInto(cache_bytes, ranker));
   // Nor do the package decoders know the catalog: a cached package's items
   // are read row by row when the next round scores it, and the meta
   // record's top-k is served as is, so an item id past the item table is

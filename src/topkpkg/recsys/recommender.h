@@ -42,12 +42,16 @@ struct RecommenderOptions {
   std::size_t num_samples = 300;
   SamplerKind sampler = SamplerKind::kMcmc;
   ranking::Semantics semantics = ranking::Semantics::kExp;
+  // `ranking.package_filter`, the optional Sec. 7 schema predicate, applies
+  // to every presented package: the searches behind the recommended ones
+  // and the random explore slots.
   ranking::RankingOptions ranking;
+  // The sampler settings every sampler kind runs with. The `base` copies
+  // nested in `mcmc` and `importance` must stay default; Create refuses
+  // anything else.
   sampling::SamplerOptions sampler_base;
   sampling::McmcSamplerOptions mcmc;
   sampling::ImportanceSamplerOptions importance;
-  // Optional Sec. 7 schema predicate applied to recommended packages.
-  topk::TopKPkgSearch::PackageFilter package_filter;
 };
 
 // One elicitation round's record.

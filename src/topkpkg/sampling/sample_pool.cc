@@ -74,7 +74,6 @@ PoolDelta SamplePool::Replace(std::vector<std::size_t> indices,
     std::size_t write = 0;
     for (std::size_t read = 0; read < samples_.size(); ++read) {
       if (next_removed < indices.size() && indices[next_removed] == read) {
-        delta.removed_ids.push_back(samples_[read].id);
         ++next_removed;
         continue;
       }

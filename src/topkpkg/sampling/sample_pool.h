@@ -12,21 +12,22 @@
 
 namespace topkpkg::sampling {
 
-// What one pool mutation did, in terms of stable SampleIds. Downstream
-// layers (the incremental ranker's TopListCache, reuse accounting in
-// RoundLog) consume this instead of diffing the pool: `added_ids` entered
-// with this mutation, `removed_ids` left, and `surviving_ids` were present
-// before and still are. added ∪ surviving = the pool's current ids.
+// What one pool mutation did, in terms of stable SampleIds. The round
+// engine's reuse accounting (RoundLog) and IS survivor reweighting consume
+// this instead of diffing the pool: `added_ids` entered with this mutation
+// and `surviving_ids` were present before and still are. added ∪ surviving
+// = the pool's current ids.
 struct PoolDelta {
   std::vector<SampleId> added_ids;
-  std::vector<SampleId> removed_ids;
   std::vector<SampleId> surviving_ids;
 };
 
 // The pool S of previously generated weight-vector samples, kept alive across
 // feedback rounds (Sec. 3.4: valid samples still follow P_w after new
 // feedback, so only violators need replacing). Mints a stable SampleId for
-// every sample that enters, and reports each mutation as a PoolDelta.
+// every sample that enters, and reports each mutation as a PoolDelta. It is
+// the only owner of sample state: the ranking layer caches top lists by id
+// and reads each sample's weight vector and importance weight from here.
 // Maintains per-coordinate sorted index lists — the structure Algorithm 1's
 // TA-based violator scan walks — rebuilding them lazily after mutations.
 class SamplePool {
@@ -63,8 +64,9 @@ class SamplePool {
 
   // Overwrites sample i's importance weight in place (survivor reweighting
   // under a changed proposal). The weight feeds only the ranking
-  // aggregation, so the sorted index lists and the SoA batch — both built
-  // from the weight *vectors* — stay valid.
+  // aggregation, which reads it from here, so the sorted index lists, the
+  // SoA batch and cached top lists — all built from the weight *vectors* —
+  // stay valid.
   void set_weight(std::size_t i, double weight) {
     samples_[i].weight = weight;
   }

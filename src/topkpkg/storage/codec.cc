@@ -10,7 +10,9 @@ namespace {
 
 constexpr std::uint8_t kPreferenceSetVersion = 1;
 constexpr std::uint8_t kSamplePoolVersion = 1;
-constexpr std::uint8_t kTopListCacheVersion = 1;
+// Version 1 also stored each cached sample's weight vector and importance
+// weight; version 2 leaves both to the sample-pool record.
+constexpr std::uint8_t kTopListCacheVersion = 2;
 constexpr std::uint8_t kRoundHistoryVersion = 2;
 
 Status CheckVersion(std::uint8_t got, std::uint8_t expect, const char* what) {
@@ -38,12 +40,11 @@ void PutTopList(ByteWriter& w, const ranking::SampleTopList& list) {
     PutPackage(w, sp.package);
     w.PutF64(sp.utility);
   }
-  w.PutVec(list.w);
-  w.PutF64(list.weight);
   w.PutU8(list.truncated ? 1 : 0);
 }
 
-Result<ranking::SampleTopList> GetTopList(ByteReader& r) {
+Result<ranking::SampleTopList> GetTopList(ByteReader& r,
+                                          std::uint8_t version) {
   ranking::SampleTopList list;
   TOPKPKG_ASSIGN_OR_RETURN(std::uint32_t n, r.GetU32());
   TOPKPKG_RETURN_IF_ERROR(CheckCount(n, r, "top-list package"));
@@ -54,8 +55,10 @@ Result<ranking::SampleTopList> GetTopList(ByteReader& r) {
     TOPKPKG_ASSIGN_OR_RETURN(sp.utility, r.GetF64());
     list.packages.push_back(std::move(sp));
   }
-  TOPKPKG_ASSIGN_OR_RETURN(list.w, r.GetVec());
-  TOPKPKG_ASSIGN_OR_RETURN(list.weight, r.GetF64());
+  if (version == 1) {
+    TOPKPKG_RETURN_IF_ERROR(r.GetVec().status());
+    TOPKPKG_RETURN_IF_ERROR(r.GetF64().status());
+  }
   TOPKPKG_ASSIGN_OR_RETURN(std::uint8_t truncated, r.GetU8());
   list.truncated = truncated != 0;
   return list;
@@ -193,12 +196,14 @@ std::string EncodeTopListCache(const ranking::IncrementalRanker& ranker) {
   return std::move(w).Take();
 }
 
-Status DecodeTopListCacheInto(const std::string& payload, std::size_t dim,
+Status DecodeTopListCacheInto(const std::string& payload,
                               ranking::IncrementalRanker& ranker) {
   ByteReader r(payload);
   TOPKPKG_ASSIGN_OR_RETURN(std::uint8_t version, r.GetU8());
-  TOPKPKG_RETURN_IF_ERROR(
-      CheckVersion(version, kTopListCacheVersion, "TopListCache"));
+  if (version != 1) {
+    TOPKPKG_RETURN_IF_ERROR(
+        CheckVersion(version, kTopListCacheVersion, "TopListCache"));
+  }
   TOPKPKG_ASSIGN_OR_RETURN(std::uint8_t has_options, r.GetU8());
   ranking::IncrementalRanker::CacheKeyOptions options;
   TOPKPKG_ASSIGN_OR_RETURN(std::uint64_t list_size, r.GetU64());
@@ -220,13 +225,8 @@ Status DecodeTopListCacheInto(const std::string& payload, std::size_t dim,
   entries.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     TOPKPKG_ASSIGN_OR_RETURN(std::uint64_t id, r.GetU64());
-    TOPKPKG_ASSIGN_OR_RETURN(ranking::SampleTopList list, GetTopList(r));
-    if (list.w.size() != dim) {
-      return Status::FailedPrecondition(
-          "codec: top-list-cache entry for sample " + std::to_string(id) +
-          " holds a weight vector of length " + std::to_string(list.w.size()) +
-          ", expected " + std::to_string(dim));
-    }
+    TOPKPKG_ASSIGN_OR_RETURN(ranking::SampleTopList list,
+                             GetTopList(r, version));
     entries.emplace_back(id, std::move(list));
   }
   ranker.RestoreSnapshot(has_options != 0, options, epoch,

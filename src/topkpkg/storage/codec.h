@@ -69,11 +69,12 @@ Result<sampling::SamplePool> DecodeSamplePool(const std::string& payload);
 
 // --- IncrementalRanker's TopListCache ------------------------------------
 
-// Decode parses the whole payload before touching `ranker`, and refuses
-// (FailedPrecondition, ranker untouched) any entry whose weight vector does
-// not have `dim` coordinates.
+// Each entry is a sample id and its top list; the sample's weight vector
+// and importance weight live in the sample-pool record only. Decode parses
+// the whole payload before touching `ranker`. It also reads version-1
+// payloads, which carried a copy of both per entry, and discards the copies.
 std::string EncodeTopListCache(const ranking::IncrementalRanker& ranker);
-Status DecodeTopListCacheInto(const std::string& payload, std::size_t dim,
+Status DecodeTopListCacheInto(const std::string& payload,
                               ranking::IncrementalRanker& ranker);
 
 // --- RoundLog history ----------------------------------------------------

@@ -6,8 +6,10 @@
 
 #include "topkpkg/ranking/incremental_ranker.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,16 +74,13 @@ TEST_F(IncrementalRankerFixture, MultiRoundEquivalenceAllSemantics) {
   IncrementalRanker incremental(evaluator_.get());
 
   std::vector<pref::Preference> feedback;
-  sampling::PoolDelta delta;
-  for (const auto& s : pool.samples()) delta.added_ids.push_back(s.id);
-
   for (int round = 0; round < 6; ++round) {
     for (Semantics sem :
          {Semantics::kExp, Semantics::kTkp, Semantics::kMpo}) {
       auto from_scratch = oracle.Rank(pool.samples(), sem, opts);
       ASSERT_TRUE(from_scratch.ok()) << from_scratch.status();
 
-      auto incr = incremental.Rank(pool, delta, sem, opts);
+      auto incr = incremental.Rank(pool, sem, opts);
       ASSERT_TRUE(incr.ok()) << incr.status();
       const std::string ctx = std::string("round ") + std::to_string(round) +
                               " " + SemanticsName(sem);
@@ -102,11 +101,11 @@ TEST_F(IncrementalRankerFixture, MultiRoundEquivalenceAllSemantics) {
       ASSERT_TRUE(drawn.ok()) << drawn.status();
       fresh = std::move(drawn).value();
     }
-    delta = pool.Replace(found.violators, std::move(fresh));
+    pool.Replace(found.violators, std::move(fresh));
   }
 }
 
-TEST_F(IncrementalRankerFixture, ReuseStatsReflectDelta) {
+TEST_F(IncrementalRankerFixture, ReuseStatsReflectPoolChanges) {
   Rng rng(81);
   prob::GaussianMixture prior = DefaultPrior(3, 82);
   sampling::ConstraintChecker empty({});
@@ -120,18 +119,16 @@ TEST_F(IncrementalRankerFixture, ReuseStatsReflectDelta) {
   opts.sigma = 3;
   IncrementalRanker ranker(evaluator_.get());
 
-  sampling::PoolDelta delta;
-  for (const auto& s : pool.samples()) delta.added_ids.push_back(s.id);
   IncrementalRankStats stats;
-  ASSERT_TRUE(ranker.Rank(pool, delta, Semantics::kTkp, opts, &stats).ok());
+  ASSERT_TRUE(ranker.Rank(pool, Semantics::kTkp, opts, &stats).ok());
   EXPECT_EQ(stats.searches_run, 40u);
   EXPECT_EQ(stats.searches_skipped, 0u);
   EXPECT_EQ(ranker.cache_size(), 40u);
 
   auto fresh = sampler.Draw(5, rng);
   ASSERT_TRUE(fresh.ok());
-  delta = pool.Replace({0, 7, 11, 23, 39}, std::move(fresh).value());
-  ASSERT_TRUE(ranker.Rank(pool, delta, Semantics::kTkp, opts, &stats).ok());
+  pool.Replace({0, 7, 11, 23, 39}, std::move(fresh).value());
+  ASSERT_TRUE(ranker.Rank(pool, Semantics::kTkp, opts, &stats).ok());
   EXPECT_EQ(stats.evicted, 5u);
   EXPECT_EQ(stats.searches_run, 5u);
   EXPECT_EQ(stats.searches_skipped, 35u);
@@ -146,21 +143,17 @@ TEST_F(IncrementalRankerFixture, LimitChangeInvalidatesCache) {
   auto initial = sampling::RejectionSampler(&prior, &empty).Draw(20, rng);
   ASSERT_TRUE(initial.ok());
   sampling::SamplePool pool(std::move(initial).value());
-  sampling::PoolDelta delta;
-  for (const auto& s : pool.samples()) delta.added_ids.push_back(s.id);
 
   RankingOptions opts;
   opts.k = 3;
   opts.sigma = 3;
   IncrementalRanker ranker(evaluator_.get());
-  ASSERT_TRUE(ranker.Rank(pool, delta, Semantics::kExp, opts).ok());
+  ASSERT_TRUE(ranker.Rank(pool, Semantics::kExp, opts).ok());
   const std::uint64_t epoch = ranker.ranking_epoch();
 
   // Same options: cache stays.
-  sampling::PoolDelta noop;
-  for (const auto& s : pool.samples()) noop.surviving_ids.push_back(s.id);
   IncrementalRankStats stats;
-  ASSERT_TRUE(ranker.Rank(pool, noop, Semantics::kExp, opts, &stats).ok());
+  ASSERT_TRUE(ranker.Rank(pool, Semantics::kExp, opts, &stats).ok());
   EXPECT_EQ(ranker.ranking_epoch(), epoch);
   EXPECT_EQ(stats.searches_run, 0u);
 
@@ -168,14 +161,14 @@ TEST_F(IncrementalRankerFixture, LimitChangeInvalidatesCache) {
   // cache must go, and the fresh results must match a from-scratch oracle
   // under the new limits.
   opts.limits.max_items_accessed = 64;
-  ASSERT_TRUE(ranker.Rank(pool, noop, Semantics::kExp, opts, &stats).ok());
+  ASSERT_TRUE(ranker.Rank(pool, Semantics::kExp, opts, &stats).ok());
   EXPECT_GT(ranker.ranking_epoch(), epoch);
   EXPECT_TRUE(stats.cache_invalidated);
   EXPECT_EQ(stats.searches_run, 20u);
 
   PackageRanker oracle(evaluator_.get());
   auto from_scratch = oracle.Rank(pool.samples(), Semantics::kExp, opts);
-  auto incr = ranker.Rank(pool, noop, Semantics::kExp, opts);
+  auto incr = ranker.Rank(pool, Semantics::kExp, opts);
   ASSERT_TRUE(from_scratch.ok());
   ASSERT_TRUE(incr.ok());
   ExpectSameResult(*incr, *from_scratch, "after limit change");
@@ -188,17 +181,61 @@ TEST_F(IncrementalRankerFixture, InvalidateAllClearsCache) {
   auto initial = sampling::RejectionSampler(&prior, &empty).Draw(10, rng);
   ASSERT_TRUE(initial.ok());
   sampling::SamplePool pool(std::move(initial).value());
-  sampling::PoolDelta delta;
-  for (const auto& s : pool.samples()) delta.added_ids.push_back(s.id);
 
   RankingOptions opts;
   IncrementalRanker ranker(evaluator_.get());
-  ASSERT_TRUE(ranker.Rank(pool, delta, Semantics::kTkp, opts).ok());
+  ASSERT_TRUE(ranker.Rank(pool, Semantics::kTkp, opts).ok());
   EXPECT_EQ(ranker.cache_size(), 10u);
   const std::uint64_t epoch = ranker.ranking_epoch();
   ranker.InvalidateAll();
   EXPECT_EQ(ranker.cache_size(), 0u);
   EXPECT_GT(ranker.ranking_epoch(), epoch);
+}
+
+// Rank evicts by the pool alone, so no caller reports removals: a cache
+// entry whose sample is not in the pool (planted here through
+// RestoreSnapshot) is dropped by the next Rank, which still serves the
+// pool's own entries from the cache.
+TEST_F(IncrementalRankerFixture, RankDropsEntriesForSamplesNotInThePool) {
+  Rng rng(97);
+  prob::GaussianMixture prior = DefaultPrior(3, 98);
+  sampling::ConstraintChecker empty({});
+  auto initial = sampling::RejectionSampler(&prior, &empty).Draw(12, rng);
+  ASSERT_TRUE(initial.ok());
+  sampling::SamplePool pool(std::move(initial).value());
+
+  RankingOptions opts;
+  opts.k = 3;
+  opts.sigma = 3;
+  IncrementalRanker ranker(evaluator_.get());
+  ASSERT_TRUE(ranker.Rank(pool, Semantics::kTkp, opts).ok());
+
+  sampling::SampleId stranger = 0;
+  for (const auto& s : pool.samples()) stranger = std::max(stranger, s.id);
+  ++stranger;
+  const IncrementalRanker::CacheSnapshot snap = ranker.Snapshot();
+  std::vector<std::pair<sampling::SampleId, SampleTopList>> entries;
+  for (const auto& [id, list] : snap.entries) entries.emplace_back(id, *list);
+  entries.emplace_back(stranger, *snap.entries.front().second);
+  ranker.RestoreSnapshot(snap.has_options, snap.options, snap.epoch,
+                         std::move(entries));
+  ASSERT_EQ(ranker.cache_size(), pool.size() + 1);
+
+  IncrementalRankStats stats;
+  auto incr = ranker.Rank(pool, Semantics::kTkp, opts, &stats);
+  ASSERT_TRUE(incr.ok()) << incr.status();
+  EXPECT_EQ(stats.evicted, 1u);
+  EXPECT_EQ(stats.searches_run, 0u);
+  EXPECT_EQ(stats.searches_skipped, pool.size());
+  EXPECT_EQ(ranker.cache_size(), pool.size());
+  for (const auto& [id, list] : ranker.Snapshot().entries) {
+    EXPECT_NE(id, stranger);
+  }
+
+  PackageRanker oracle(evaluator_.get());
+  auto from_scratch = oracle.Rank(pool.samples(), Semantics::kTkp, opts);
+  ASSERT_TRUE(from_scratch.ok());
+  ExpectSameResult(*incr, *from_scratch, "after dropping the stranger");
 }
 
 }  // namespace

@@ -123,8 +123,10 @@ TEST_F(Fig2Fixture, AggregateReusableAcrossSemantics) {
   auto lists = ranker.ComputeSampleLists(samples_, opts);
   ASSERT_TRUE(lists.ok());
   ASSERT_EQ(lists->size(), 3u);
-  RankingResult tkp = ranker.Aggregate(*lists, Semantics::kTkp, opts);
-  RankingResult mpo = ranker.Aggregate(*lists, Semantics::kMpo, opts);
+  std::vector<const SampleTopList*> ptrs;
+  for (const SampleTopList& l : *lists) ptrs.push_back(&l);
+  RankingResult tkp = ranker.Aggregate(samples_, ptrs, Semantics::kTkp, opts);
+  RankingResult mpo = ranker.Aggregate(samples_, ptrs, Semantics::kMpo, opts);
   EXPECT_EQ(tkp.packages[0].package, Package::Of({1, 2}));
   EXPECT_EQ(mpo.packages[1].package, Package::Of({1}));
 }

@@ -280,11 +280,12 @@ TEST_F(CheckpointFixture, InterleavedSessionsCheckpointAndRestore) {
 }
 
 // Vector lengths are the one payload shape a codec cannot check without
-// being told the prior's dimension. Each case below checkpoints a 2-round
-// session, then rewrites one committed state record as a well-framed,
-// CRC-valid record whose every vector is one element short. Restore must
-// refuse it and leave the recommender as constructed, so the next round is
-// a fresh session's first instead of a read past a heap buffer.
+// being told the prior's dimension. Each refusal case below checkpoints a
+// 2-round session, then rewrites one committed state record as a
+// well-framed, CRC-valid record whose every vector is one element short.
+// Restore must refuse it and leave the recommender as constructed, so the
+// next round is a fresh session's first instead of a read past a heap
+// buffer.
 class ShortVectorFixture : public CheckpointFixture {
  protected:
   // Runs 2 rounds and checkpoints them as session 7 (sequence 1).
@@ -316,8 +317,7 @@ class ShortVectorFixture : public CheckpointFixture {
     ASSERT_TRUE(committed.ok()) << committed.status();
     const std::string payload = committed->substr(sizeof(std::uint64_t));
     ranking::IncrementalRanker decoded(evaluator_.get());
-    ASSERT_TRUE(
-        storage::DecodeTopListCacheInto(payload, prior_->dim(), decoded).ok());
+    ASSERT_TRUE(storage::DecodeTopListCacheInto(payload, decoded).ok());
     const ranking::IncrementalRanker::CacheSnapshot snap = decoded.Snapshot();
     ASSERT_FALSE(snap.entries.empty());
     std::vector<std::pair<sampling::SampleId, ranking::SampleTopList>> entries;
@@ -330,6 +330,53 @@ class ShortVectorFixture : public CheckpointFixture {
                            std::move(entries));
     RewriteCommitted(store, storage::kKindTopListCache,
                      storage::EncodeTopListCache(edited));
+  }
+
+  // Rewrites session 7's committed top-list cache in the version-1 layout,
+  // which also stored each cached sample's weight vector and importance
+  // weight. Both are taken from the checkpointed pool, `edit_w` applied to
+  // each vector; call it before original_ runs another round.
+  void RewriteCacheAsVersion1(storage::SessionStore& store,
+                              const std::function<void(Vec&)>& edit_w) {
+    auto committed = store.Get(
+        7, storage::GenSlotKind(storage::kKindTopListCache, /*seq=*/1));
+    ASSERT_TRUE(committed.ok()) << committed.status();
+    ranking::IncrementalRanker decoded(evaluator_.get());
+    ASSERT_TRUE(storage::DecodeTopListCacheInto(
+                    committed->substr(sizeof(std::uint64_t)), decoded)
+                    .ok());
+    const ranking::IncrementalRanker::CacheSnapshot snap = decoded.Snapshot();
+    ASSERT_EQ(snap.entries.size(), original_->pool().size());
+    ByteWriter w;
+    w.PutU8(1);
+    w.PutU8(snap.has_options ? 1 : 0);
+    w.PutU64(snap.options.list_size);
+    w.PutU64(snap.options.limits.max_expansions);
+    w.PutU64(snap.options.limits.max_items_accessed);
+    w.PutU64(snap.options.limits.max_queue);
+    w.PutU8(snap.options.limits.expand_on_ties ? 1 : 0);
+    w.PutU8(snap.options.has_filter ? 1 : 0);
+    w.PutU64(snap.epoch);
+    w.PutU32(static_cast<std::uint32_t>(snap.entries.size()));
+    for (const auto& [id, list] : snap.entries) {
+      const sampling::WeightedSample* sample = nullptr;
+      for (const sampling::WeightedSample& s : original_->pool().samples()) {
+        if (s.id == id) sample = &s;
+      }
+      ASSERT_NE(sample, nullptr) << "cached sample " << id << " not pooled";
+      w.PutU64(id);
+      w.PutU32(static_cast<std::uint32_t>(list->packages.size()));
+      for (const topk::ScoredPackage& sp : list->packages) {
+        storage::PutPackage(w, sp.package);
+        w.PutF64(sp.utility);
+      }
+      Vec v = sample->w;
+      edit_w(v);
+      w.PutVec(v);
+      w.PutF64(sample->weight);
+      w.PutU8(list->truncated ? 1 : 0);
+    }
+    RewriteCommitted(store, storage::kKindTopListCache, std::move(w).Take());
   }
 
   void ExpectRefusedAndUntouched(storage::SessionStore& store,
@@ -379,13 +426,53 @@ TEST_F(ShortVectorFixture, RestoreRejectsShortPreferenceVectors) {
   ExpectRefusedAndUntouched(*store, "preference-set");
 }
 
-TEST_F(ShortVectorFixture, RestoreRejectsShortCachedVectors) {
-  auto store = storage::SessionStore::Open(TempStorePath("short_cache"));
+// Checkpoints written while the cache record still copied the pool's
+// vectors and weights (format version 1) restore: the copies are read and
+// discarded, and the next round equals the uninterrupted session's, served
+// from the restored cache.
+TEST_F(ShortVectorFixture, Version1CacheRecordRestoresAndResumes) {
+  auto store = storage::SessionStore::Open(TempStorePath("v1_cache"));
   ASSERT_TRUE(store.ok()) << store.status();
   CheckpointTwoRounds(*store);
-  RewriteCachedLists(*store,
-                     [](ranking::SampleTopList& list) { list.w.pop_back(); });
-  ExpectRefusedAndUntouched(*store, "top-list-cache");
+  const auto cache_kind =
+      storage::GenSlotKind(storage::kKindTopListCache, /*seq=*/1);
+  auto v2 = store->Get(7, cache_kind);
+  ASSERT_TRUE(v2.ok()) << v2.status();
+  RewriteCacheAsVersion1(*store, [](Vec&) {});
+  auto v1 = store->Get(7, cache_kind);
+  ASSERT_TRUE(v1.ok()) << v1.status();
+  // The copies cost 36 B per cached sample: a u32 length, 3 coordinates
+  // and the importance weight.
+  EXPECT_EQ(v1->size() - v2->size(), 36 * original_->pool().size());
+  auto want = original_->RunRound(user_);
+  ASSERT_TRUE(want.ok()) << want.status();
+
+  auto restored = NewRecommender(DefaultOptions(), 11);
+  ASSERT_TRUE(restored->Restore(*store, 7).ok());
+  auto got = restored->RunRound(user_);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ExpectSameRound(*want, *got);
+  EXPECT_GT(got->searches_skipped, 0u);
+}
+
+// A version-1 cache record whose copied vectors are one element short was
+// refused while rounds aggregated those copies, which would have read past
+// them. They are discarded now, so the record restores and the next round
+// runs on the pool's own vectors (ASan-clean in the sanitizer build).
+TEST_F(ShortVectorFixture, Version1CacheRecordWithShortVectorsRestores) {
+  auto store = storage::SessionStore::Open(TempStorePath("v1_short_cache"));
+  ASSERT_TRUE(store.ok()) << store.status();
+  CheckpointTwoRounds(*store);
+  RewriteCacheAsVersion1(*store, [](Vec& v) { v.pop_back(); });
+  auto want = original_->RunRound(user_);
+  ASSERT_TRUE(want.ok()) << want.status();
+
+  auto restored = NewRecommender(DefaultOptions(), 11);
+  const Status st = restored->Restore(*store, 7);
+  ASSERT_TRUE(st.ok()) << st;
+  auto got = restored->RunRound(user_);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ExpectSameRound(*want, *got);
 }
 
 // A CRC-valid cache record whose cached packages name an item id past the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -135,7 +136,7 @@ TEST_F(RecsysFixture, PackageFilterRespected) {
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_FALSE(first->top_k.empty());
   const std::vector<model::Package> rejected = first->top_k;
-  opts.package_filter = [rejected](const model::Package& p) {
+  opts.ranking.package_filter = [rejected](const model::Package& p) {
     return p.size() >= 2 &&
            std::find(rejected.begin(), rejected.end(), p) == rejected.end();
   };
@@ -145,10 +146,46 @@ TEST_F(RecsysFixture, PackageFilterRespected) {
     ASSERT_TRUE(log.ok()) << log.status();
     EXPECT_EQ(log->num_recommended, opts.num_recommended) << "round " << round;
     for (const auto& p : log->top_k) {
-      EXPECT_TRUE(opts.package_filter(p)) << p.Key() << " round " << round;
+      EXPECT_TRUE(opts.ranking.package_filter(p))
+          << p.Key() << " round " << round;
     }
     for (const auto& p : log->presented) {
-      EXPECT_TRUE(opts.package_filter(p)) << p.Key() << " round " << round;
+      EXPECT_TRUE(opts.ranking.package_filter(p))
+          << p.Key() << " round " << round;
+    }
+  }
+}
+
+// RankingOptions::package_filter is the recommender's one filter: set on
+// its own, it must reach the searches behind the exploit slots and the
+// random explore slots alike, under every semantics. It once reached
+// neither, because each round overwrote it with a separate (unset)
+// recommender-level filter.
+TEST_F(RecsysFixture, RankingPackageFilterCoversEveryPresentedPackage) {
+  const auto all_even = [](const model::Package& p) {
+    return std::all_of(p.items().begin(), p.items().end(),
+                       [](model::ItemId id) { return id % 2 == 0; });
+  };
+  SimulatedUser user({0.7, -0.2, 0.4});
+  for (ranking::Semantics sem :
+       {ranking::Semantics::kExp, ranking::Semantics::kTkp,
+        ranking::Semantics::kMpo}) {
+    RecommenderOptions opts = DefaultOptions();
+    opts.semantics = sem;
+    opts.ranking.package_filter = all_even;
+    auto rec = NewRecommender(opts, 18);
+    for (int round = 0; round < 3; ++round) {
+      auto log = rec->RunRound(user);
+      ASSERT_TRUE(log.ok()) << log.status();
+      const std::string ctx = std::string(ranking::SemanticsName(sem)) +
+                              " round " + std::to_string(round);
+      EXPECT_EQ(log->num_recommended, opts.num_recommended) << ctx;
+      for (const auto& p : log->top_k) {
+        EXPECT_TRUE(all_even(p)) << p.Key() << " " << ctx;
+      }
+      for (const auto& p : log->presented) {
+        EXPECT_TRUE(all_even(p)) << p.Key() << " " << ctx;
+      }
     }
   }
 }
@@ -373,6 +410,20 @@ TEST_F(RecsysFixture, CreateRejectsInvalidOptionsWithTypedErrors) {
     opts.sampler = SamplerKind::kMcmc;
     opts.mcmc.thinning = 0;
     expect_rejects(std::move(opts), "mcmc.thinning");
+  }
+  // Every draw runs with sampler_base; a nested copy set on its own was
+  // silently overwritten (psi = 0.9 here ran with hard constraints).
+  {
+    RecommenderOptions opts = DefaultOptions();
+    opts.sampler = SamplerKind::kMcmc;
+    opts.mcmc.base.noise.psi = 0.9;
+    expect_rejects(std::move(opts), "mcmc.base");
+  }
+  {
+    RecommenderOptions opts = DefaultOptions();
+    opts.sampler = SamplerKind::kImportance;
+    opts.importance.base.max_attempts_per_sample = 1000;
+    expect_rejects(std::move(opts), "importance.base");
   }
 }
 

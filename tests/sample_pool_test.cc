@@ -53,9 +53,9 @@ TEST(SamplePoolTest, ReplaceHandlesUnsortedDuplicateIndices) {
   PoolDelta delta = pool.Replace({2, 0, 2}, {});
   ASSERT_EQ(pool.size(), 1u);
   EXPECT_DOUBLE_EQ(pool.sample(0).w[0], 0.2);
-  // The delta reports each removal once, even for the duplicated index.
-  EXPECT_EQ(delta.removed_ids.size(), 2u);
-  EXPECT_EQ(delta.surviving_ids.size(), 1u);
+  // The delta reports the one survivor, even for the duplicated index.
+  EXPECT_TRUE(delta.added_ids.empty());
+  ASSERT_EQ(delta.surviving_ids.size(), 1u);
   EXPECT_EQ(delta.surviving_ids[0], pool.id(0));
 }
 
@@ -81,7 +81,6 @@ TEST(SamplePoolTest, AppendReportsDelta) {
   PoolDelta delta = pool.Append(MakeSamples({{0.3}, {0.4}}));
   EXPECT_EQ(delta.surviving_ids.size(), 2u);
   ASSERT_EQ(delta.added_ids.size(), 2u);
-  EXPECT_TRUE(delta.removed_ids.empty());
   EXPECT_EQ(delta.added_ids[0], pool.id(2));
   EXPECT_EQ(delta.added_ids[1], pool.id(3));
   // added ∪ surviving covers the whole pool.

@@ -378,13 +378,13 @@ TEST(RankerBatchedEquivalenceTest, BatchedRankingMatchesScalarExactly) {
       ASSERT_TRUE(r.ok()) << r.status();
       ranking::SampleTopList list;
       list.packages = std::move(r->packages);
-      list.w = s.w;
-      list.weight = s.weight;
       list.truncated = r->truncated;
       reference.push_back(std::move(list));
     }
+    std::vector<const ranking::SampleTopList*> reference_ptrs;
+    for (const auto& list : reference) reference_ptrs.push_back(&list);
     const ranking::RankingResult scalar =
-        ranker.Aggregate(reference, semantics, opts);
+        ranker.Aggregate(samples, reference_ptrs, semantics, opts);
 
     ranking::SearchDedupStats batch_dedup;
     auto batched = ranker.Rank(samples, semantics, opts, &batch_dedup);

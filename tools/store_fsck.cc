@@ -6,7 +6,10 @@
 // scan: a hint must decode, match its segment's size, and list exactly the
 // latest event per key plus every whole-session tombstone. Stale or absent
 // hints are notes (the engine scan-falls-back and rewrites them); a hint
-// that *disagrees* with its segment's contents is corruption.
+// that *disagrees* with its segment's contents is corruption. Per record
+// kind it prints the records scanned and the live keys and live bytes
+// (headers included) the keydir holds, so a store of one checkpointed
+// session reads as that checkpoint's composition.
 //
 // Exit codes: 0 = clean, 1 = unreadable/usage, 2 = integrity findings
 // (CRC failures, hint/scan disagreement, or a torn tail unless
@@ -267,9 +270,22 @@ int FsckDirectory(const std::string& path, bool verbose,
   // tombstones land in dead — the same split the engine's stats report.
   const std::uint64_t dead_bytes = total_stored - live_bytes;
 
+  struct KindLive {
+    std::size_t keys = 0;
+    std::uint64_t bytes = 0;
+  };
+  std::map<RecordKind, KindLive> live_by_kind;
+  for (const auto& [key, size] : keydir.live) {
+    KindLive& kind_live = live_by_kind[key.second];
+    ++kind_live.keys;
+    kind_live.bytes += size;
+  }
   std::printf("  records            %zu\n", total_records);
   for (const auto& [kind, count] : by_kind) {
-    std::printf("    kind %-10x %s: %zu\n", kind, KindName(kind), count);
+    const KindLive& kind_live = live_by_kind[kind];
+    std::printf("    kind %-4x %-26s %6zu records  %5zu live keys  %9" PRIu64
+                " live bytes\n",
+                kind, KindName(kind), count, kind_live.keys, kind_live.bytes);
   }
   std::printf("  live keys          %zu\n", keydir.live.size());
   std::printf("  payload bytes      %" PRIu64 "\n", total_payload);
